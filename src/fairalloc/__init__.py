@@ -69,19 +69,15 @@ from .principles import (
     PrincipleSpec,
     direction,
     score,
-    score_dianemetic,
-    score_diorthotic,
 )
 from .welfare import (
     RHO_INF,
-    WelfareFunction,
     benthamite,
     bernoulli_nash,
     foster,
     isoelastic,
     rawlsian,
     sen,
-    welfare,
 )
 
 __version__ = "0.1.0"

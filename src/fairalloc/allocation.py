@@ -174,23 +174,16 @@ def frontier_context(problem: ContinuousProblem, shares: ValueVector) -> Allocat
         raise OffFrontierError(
             f"shares sum to {total!r}, expected {problem.total!r}"
         )
+    return _share_context(problem, shares)
+
+
+def _share_context(problem: ContinuousProblem, shares: ValueVector) -> AllocationContext:
+    # Any point of the allocation square; frontier_context adds the sum check.
     retention = problem.retention_factors()
     return AllocationContext(
         inputs=problem.inputs,
         outputs=shares,
         utilities=ValueVector(r * y for r, y in zip(retention, shares.values)),
-    )
-
-
-def _square_context(
-    problem: ContinuousProblem, shares: tuple[float, float]
-) -> AllocationContext:
-    # Off-frontier evaluation for heatmaps: no sum constraint.
-    retention = problem.retention_factors()
-    return AllocationContext(
-        inputs=problem.inputs,
-        outputs=ValueVector(shares),
-        utilities=ValueVector(r * y for r, y in zip(retention, shares)),
     )
 
 
@@ -215,7 +208,7 @@ def optimize_frontier(
     sign = -1.0 if principle_direction(spec) == MINIMIZE else 1.0
 
     def objective(t: float) -> float:
-        ctx = _square_context(problem, (t, total - t))
+        ctx = _share_context(problem, ValueVector((t, total - t)))
         return sign * score(spec, ctx).value
 
     best_i = 0
@@ -243,7 +236,7 @@ def optimize_frontier(
         best_t = refined_t
 
     shares = ValueVector((best_t, total - best_t))
-    return shares, score(spec, _square_context(problem, (best_t, total - best_t))).value
+    return shares, score(spec, _share_context(problem, shares)).value
 
 
 @dataclass(frozen=True)
@@ -277,7 +270,7 @@ def heatmap(
         for j in range(grid + 1):
             y_b = total if j == grid else j * total / grid
             try:
-                value = score(spec, _square_context(problem, (y_a, y_b))).value
+                value = score(spec, _share_context(problem, ValueVector((y_a, y_b)))).value
             except DomainError:
                 value = None
             cells.append(

@@ -17,13 +17,7 @@ from .allocation import ContinuousProblem, DiscreteProblem, Piece
 from .core import Agent
 from .dispersion import DispersionMetric
 from .errors import ConfigError
-from .principles import (
-    DIANEMETIC,
-    DIORTHOTIC,
-    PRINCIPLES,
-    SUFFICIENCY,
-    PrincipleSpec,
-)
+from .principles import DIANEMETIC, PrincipleSpec
 
 _TOP_KEYS_DISCRETE = {"kind", "agents", "pieces", "labels", "principles", "aggregation"}
 _TOP_KEYS_CONTINUOUS = {"kind", "agents", "total", "retention", "principles", "aggregation"}
@@ -167,11 +161,7 @@ def _parse_principle(item: Any, path: str, n_agents: int) -> tuple[str, Principl
     obj = _as_dict(item, path)
     _check_unknown(obj, _PRINCIPLE_KEYS, path)
     name = _as_string(_require(obj, "principle", path), f"{path}.principle")
-    if name not in PRINCIPLES:
-        raise _fail(f"{path}.principle", f"unknown principle {name!r}")
     mode = _as_string(obj.get("mode", DIANEMETIC), f"{path}.mode")
-    if mode not in (DIANEMETIC, DIORTHOTIC):
-        raise _fail(f"{path}.mode", f"unknown mode {mode!r}")
     variant = obj.get("variant")
     if variant is not None:
         variant = _as_string(variant, f"{path}.variant")
@@ -188,8 +178,6 @@ def _parse_principle(item: Any, path: str, n_agents: int) -> tuple[str, Principl
     threshold = None
     if "threshold" in obj:
         threshold = _as_number(obj["threshold"], f"{path}.threshold")
-    if name == SUFFICIENCY and threshold is None:
-        raise _fail(path, "sufficiency requires a threshold")
     rho = None
     if "rho" in obj:
         raw_rho = obj["rho"]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .core import AllocationContext, ValueVector, mean, min_value, ratio_vector, threshold_share
 from .dispersion import STD_DEV, DispersionMetric, dispersion
@@ -40,10 +41,6 @@ MINIMIZE = "minimize"
 
 BASIS_OUTPUT = "output"
 BASIS_UTILITY = "utility"
-
-# Principles that score a dispersion metric and therefore minimize in
-# dianemetic mode.
-_DISPERSION_PRINCIPLES = (EQUALITY, EQUALITY_OF_OPPORTUNITY, PROPORTION)
 
 _DEFAULT_BASIS = {
     DIFFERENCE: BASIS_OUTPUT,
@@ -90,7 +87,9 @@ class PrincipleSpec:
             raise ValueError("threshold is required for sufficiency and only there")
         if self.threshold is not None and not math.isfinite(self.threshold):
             raise ValueError("threshold must be finite")
-        if self.metric is not None and p not in _DISPERSION_PRINCIPLES:
+        # The principles that minimize in dianemetic mode are exactly those
+        # that score a dispersion metric.
+        if self.metric is not None and _SCORING[p, DIANEMETIC].direction != MINIMIZE:
             raise ValueError(f"principle {p!r} takes no dispersion metric")
         if self.rho is not None or self.weights is not None:
             if not (p == GREATER_GOOD and self.mode == DIORTHOTIC):
@@ -99,6 +98,10 @@ class PrincipleSpec:
                 )
         if self.rho is not None and (math.isnan(self.rho) or self.rho < 0.0):
             raise ValueError("rho must be >= 0")
+        if self.weights is not None and any(
+            not math.isfinite(w) or w <= 0.0 for w in self.weights
+        ):
+            raise ValueError("weights must be finite and > 0")
 
     def resolved_basis(self) -> str:
         if self.principle == EQUALITY_OF_OPPORTUNITY:
@@ -109,8 +112,7 @@ class PrincipleSpec:
         return self.metric or STD_DEV
 
     def resolved_variant(self) -> str | None:
-        defaults = {DIFFERENCE: "rawlsian", EQUALITY: "foster", PROPORTION: "dispersion"}
-        return self.variant or defaults.get(self.principle)
+        return self.variant or _VARIANTS.get(self.principle, (None,))[0]
 
 
 @dataclass(frozen=True)
@@ -124,78 +126,79 @@ class PrincipleScore:
 
 def direction(spec: PrincipleSpec) -> str:
     """Optimization direction: dianemetic dispersion principles minimize."""
-    if spec.mode == DIANEMETIC and spec.principle in _DISPERSION_PRINCIPLES:
-        return MINIMIZE
-    return MAXIMIZE
+    return _SCORING[spec.principle, spec.mode].direction
 
 
-def _basis_vector(spec: PrincipleSpec, ctx: AllocationContext) -> ValueVector:
-    if spec.principle == EQUALITY_OF_OPPORTUNITY:
-        return ctx.inputs
-    if spec.resolved_basis() == BASIS_UTILITY:
-        return ctx.utilities
-    return ctx.outputs
+def score(spec: PrincipleSpec, ctx: AllocationContext) -> PrincipleScore:
+    """Score one allocation context under one principle spec."""
+    scoring = _SCORING[spec.principle, spec.mode]
+    basis = ctx.utilities if spec.resolved_basis() == BASIS_UTILITY else ctx.outputs
+    return PrincipleScore(spec, scoring.value(spec, basis, ctx.inputs), scoring.direction)
 
 
 def _negated(value: float) -> float:
     return 0.0 if value == 0.0 else -value
 
 
-def _dianemetic_value(spec: PrincipleSpec, ctx: AllocationContext) -> float:
-    p = spec.principle
-    basis = _basis_vector(spec, ctx)
-    if p == DIFFERENCE:
-        return mean(basis) if spec.resolved_variant() == "harsanyian" else min_value(basis)
-    if p == EQUALITY:
-        return dispersion(spec.resolved_metric(), basis)
-    if p == EQUALITY_OF_OPPORTUNITY:
-        return dispersion(spec.resolved_metric(), ctx.inputs)
-    if p == GREATER_GOOD:
-        return math.fsum(basis.values)
-    if p == PROPORTION:
-        return dispersion(spec.resolved_metric(), ratio_vector(basis, ctx.inputs))
-    return threshold_share(basis, spec.threshold)
+def _difference(spec: PrincipleSpec, v: ValueVector, x: ValueVector) -> float:
+    return mean(v) if spec.resolved_variant() == "harsanyian" else min_value(v)
 
 
-def _diorthotic_value(spec: PrincipleSpec, ctx: AllocationContext) -> float:
-    p = spec.principle
-    basis = _basis_vector(spec, ctx)
-    if p == DIFFERENCE:
-        return mean(basis) if spec.resolved_variant() == "harsanyian" else rawlsian(basis)
-    if p == EQUALITY:
-        return sen(basis) if spec.resolved_variant() == "sen" else foster(basis)
-    if p == EQUALITY_OF_OPPORTUNITY:
-        return _negated(dispersion(spec.resolved_metric(), ctx.inputs))
-    if p == GREATER_GOOD:
-        if spec.rho is not None or spec.weights is not None:
-            return isoelastic(basis, spec.weights, spec.rho if spec.rho is not None else 0.0)
-        return benthamite(basis)
-    if p == PROPORTION:
-        if spec.resolved_variant() == "noop":
-            # Free-transaction stance: every allocation is equally fair.
-            return 0.0
-        return _negated(dispersion(spec.resolved_metric(), ratio_vector(basis, ctx.inputs)))
-    return threshold_share(basis, spec.threshold)
+def _maximin_welfare(spec: PrincipleSpec, v: ValueVector, x: ValueVector) -> float:
+    return mean(v) if spec.resolved_variant() == "harsanyian" else rawlsian(v)
 
 
-def score(spec: PrincipleSpec, ctx: AllocationContext) -> PrincipleScore:
-    """Score one allocation context under one principle spec."""
-    if spec.mode == DIANEMETIC:
-        value = _dianemetic_value(spec, ctx)
-    else:
-        value = _diorthotic_value(spec, ctx)
-    return PrincipleScore(spec=spec, value=value, direction=direction(spec))
+def _capability_welfare(spec: PrincipleSpec, v: ValueVector, x: ValueVector) -> float:
+    return sen(v) if spec.resolved_variant() == "sen" else foster(v)
 
 
-def score_dianemetic(spec: PrincipleSpec, ctx: AllocationContext) -> PrincipleScore:
-    """Score with the dianemetic (statistic-based) mapping."""
-    if spec.mode != DIANEMETIC:
-        raise ValueError("spec mode must be dianemetic")
-    return PrincipleScore(spec, _dianemetic_value(spec, ctx), direction(spec))
+def _utility_welfare(spec: PrincipleSpec, v: ValueVector, x: ValueVector) -> float:
+    if spec.rho is None and spec.weights is None:
+        return benthamite(v)
+    return isoelastic(v, spec.weights, 0.0 if spec.rho is None else spec.rho)
 
 
-def score_diorthotic(spec: PrincipleSpec, ctx: AllocationContext) -> PrincipleScore:
-    """Score with the diorthotic (welfare-function) mapping; always maximize."""
-    if spec.mode != DIORTHOTIC:
-        raise ValueError("spec mode must be diorthotic")
-    return PrincipleScore(spec, _diorthotic_value(spec, ctx), MAXIMIZE)
+def _proportion_welfare(spec: PrincipleSpec, v: ValueVector, x: ValueVector) -> float:
+    if spec.resolved_variant() == "noop":
+        # Free-transaction stance: every allocation is equally fair.
+        return 0.0
+    return _negated(dispersion(spec.resolved_metric(), ratio_vector(v, x)))
+
+
+def _sufficiency(spec: PrincipleSpec, v: ValueVector, x: ValueVector) -> float:
+    return threshold_share(v, spec.threshold)
+
+
+class _Scoring(NamedTuple):
+    direction: str
+    # (spec, basis vector, inputs) -> score
+    value: Callable[[PrincipleSpec, ValueVector, ValueVector], float]
+
+
+# The one mapping of (principle, mode) to a score. Entries reach the
+# dispersion and welfare functions through this module's globals at call
+# time, never through references captured here, so that patching a module
+# attribute (as instrumentation does) reaches every score.
+_SCORING = {
+    (DIFFERENCE, DIANEMETIC): _Scoring(MAXIMIZE, _difference),
+    (DIFFERENCE, DIORTHOTIC): _Scoring(MAXIMIZE, _maximin_welfare),
+    (EQUALITY, DIANEMETIC): _Scoring(
+        MINIMIZE, lambda spec, v, x: dispersion(spec.resolved_metric(), v)
+    ),
+    (EQUALITY, DIORTHOTIC): _Scoring(MAXIMIZE, _capability_welfare),
+    (EQUALITY_OF_OPPORTUNITY, DIANEMETIC): _Scoring(
+        MINIMIZE, lambda spec, v, x: dispersion(spec.resolved_metric(), x)
+    ),
+    (EQUALITY_OF_OPPORTUNITY, DIORTHOTIC): _Scoring(
+        MAXIMIZE, lambda spec, v, x: _negated(dispersion(spec.resolved_metric(), x))
+    ),
+    (GREATER_GOOD, DIANEMETIC): _Scoring(MAXIMIZE, lambda spec, v, x: math.fsum(v.values)),
+    (GREATER_GOOD, DIORTHOTIC): _Scoring(MAXIMIZE, _utility_welfare),
+    (PROPORTION, DIANEMETIC): _Scoring(
+        MINIMIZE,
+        lambda spec, v, x: dispersion(spec.resolved_metric(), ratio_vector(v, x)),
+    ),
+    (PROPORTION, DIORTHOTIC): _Scoring(MAXIMIZE, _proportion_welfare),
+    (SUFFICIENCY, DIANEMETIC): _Scoring(MAXIMIZE, _sufficiency),
+    (SUFFICIENCY, DIORTHOTIC): _Scoring(MAXIMIZE, _sufficiency),
+}

@@ -1,32 +1,23 @@
-"""Social welfare functions: scalar societal scores of an allocation.
+"""Social welfare functions: scalar societal scores of a value vector.
 
-Three families: resource-based (a dispersion metric applied to inputs,
-negated so that larger is better), utility-based Bergson-Samuelson forms
-(isoelastic and its Benthamite / Rawlsian / Bernoulli-Nash special cases),
-and income-based capability forms (Sen, Foster).
+Two families: utility-based Bergson-Samuelson forms (isoelastic and its
+Benthamite / Rawlsian / Bernoulli-Nash special cases) and income-based
+capability forms (Sen, Foster). The third, resource-based family (a
+dispersion metric negated so that larger is better) has no function here:
+``fairalloc.principles.score`` computes it for diorthotic equality of
+opportunity and proportion.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from .core import AllocationContext, ValueVector, mean
-from .dispersion import DispersionMetric, dispersion, gini, theil_t
+from .core import ValueVector, mean
+from .dispersion import gini, theil_t
 from .errors import WeightMismatchError, ZeroElementError
 
 RHO_INF = math.inf
-
-WELFARE_KINDS = (
-    "isoelastic",
-    "benthamite",
-    "rawlsian",
-    "bernoulli_nash",
-    "sen",
-    "foster",
-    "leontief_dispersion",
-)
 
 
 def _checked_weights(u: ValueVector, weights: Sequence[float] | None) -> tuple[float, ...]:
@@ -91,45 +82,3 @@ def sen(y: ValueVector) -> float:
 def foster(y: ValueVector) -> float:
     """Foster welfare: mean output discounted by Theil T, mean * exp(-T)."""
     return mean(y) * math.exp(-theil_t(y))
-
-
-@dataclass(frozen=True)
-class WelfareFunction:
-    """A welfare-function choice plus its parameters."""
-
-    kind: str
-    rho: float | None = None
-    weights: tuple[float, ...] | None = None
-    metric: DispersionMetric | None = None
-
-    def __post_init__(self):
-        if self.kind not in WELFARE_KINDS:
-            raise ValueError(f"unknown welfare function {self.kind!r}")
-        if self.kind == "isoelastic" and self.rho is None:
-            raise ValueError("isoelastic welfare needs rho")
-        if self.kind == "leontief_dispersion" and self.metric is None:
-            raise ValueError("leontief_dispersion welfare needs a metric")
-
-
-def welfare(fn: WelfareFunction, ctx: AllocationContext) -> float:
-    """Evaluate ``fn`` on the appropriate vector of ``ctx``.
-
-    Bergson-Samuelson kinds read utilities, Sen/Foster read outputs, and
-    leontief_dispersion reads inputs. Dispersion-based welfare is negated so
-    every welfare score is maximized.
-    """
-    kind = fn.kind
-    if kind == "isoelastic":
-        return isoelastic(ctx.utilities, fn.weights, fn.rho)
-    if kind == "benthamite":
-        return benthamite(ctx.utilities)
-    if kind == "rawlsian":
-        return rawlsian(ctx.utilities)
-    if kind == "bernoulli_nash":
-        return bernoulli_nash(ctx.utilities, fn.weights)
-    if kind == "sen":
-        return sen(ctx.outputs)
-    if kind == "foster":
-        return foster(ctx.outputs)
-    value = dispersion(fn.metric, ctx.inputs)
-    return 0.0 if value == 0.0 else -value

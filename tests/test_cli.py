@@ -1,10 +1,15 @@
 import csv
 import json
+from pathlib import Path
+
+import pytest
 
 import oracles
 from fairalloc.allocation import aggregate_ranks
 from fairalloc.cli import main
 from fairalloc.presets import get_preset
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -109,6 +114,22 @@ class TestEvaluate:
         by_rank = [c for _, c in sorted(zip(combined, candidates))]
         assert printed == by_rank
 
+    @pytest.mark.parametrize("weights", [[1, -1], [1, 0]])
+    def test_non_positive_welfare_weights_exit_2(self, capsys, tmp_path, weights):
+        doc = get_preset("fishermen")
+        doc["principles"] = [
+            {"principle": "greater_good", "mode": "diorthotic", "weights": weights}
+        ]
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for argv in (
+            ["evaluate"],
+            ["heatmap", "--principle", "greater_good", "--grid", "2"],
+        ):
+            code, _, err = run(capsys, *argv, "--config", str(path))
+            assert code == 2
+            assert "$.principles[0]" in err and "weights" in err
+
     def test_resolution_flag_validated(self, capsys):
         code, _, err = run(capsys, "evaluate", "--preset", "fishermen", "--resolution", "1")
         assert code == 2
@@ -194,3 +215,19 @@ class TestDeterminism:
             )
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestGoldenOutput:
+    """Preset output pinned byte for byte against checked-in snapshots."""
+
+    @pytest.mark.parametrize("preset", ["cake", "fishermen"])
+    def test_evaluate_matches_snapshot(self, capsys, tmp_path, preset):
+        stdout = (GOLDEN / f"{preset}.stdout.txt").read_text(encoding="utf-8")
+        code, out, _ = run(capsys, "evaluate", "--preset", preset)
+        assert code == 0
+        assert out == stdout
+        path = tmp_path / f"{preset}.csv"
+        code, out, _ = run(capsys, "evaluate", "--preset", preset, "--out", str(path))
+        assert code == 0
+        assert out == f"{stdout}\nwrote {path}\n"
+        assert path.read_bytes() == (GOLDEN / f"{preset}.csv").read_bytes()

@@ -72,6 +72,16 @@ class TestRejection:
             (lambda d: d["pieces"][1]["bonus"].update(C=1), "$.pieces[1].bonus"),
             (lambda d: d["principles"][0].update(threshold=1.0), "$.principles[0]"),
             (lambda d: d.update(labels=["only one"]), "$.labels"),
+            pytest.param(
+                lambda d: d["principles"][0].update(mode="diorthotic", weights=[1, -1]),
+                "$.principles[0]: weights must be finite and > 0",
+                id="negative-welfare-weight",
+            ),
+            pytest.param(
+                lambda d: d["principles"][0].update(mode="diorthotic", weights=[1, 0]),
+                "$.principles[0]: weights must be finite and > 0",
+                id="zero-welfare-weight",
+            ),
         ],
     )
     def test_path_qualified_errors(self, mutate, path_fragment):

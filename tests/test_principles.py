@@ -16,8 +16,7 @@ from fairalloc import (
     direction,
     foster,
     mean,
-    score_dianemetic,
-    score_diorthotic,
+    score,
 )
 
 STD = DispersionMetric("std_dev")
@@ -33,6 +32,30 @@ def _spec(principle, **kwargs):
 
 SCENARIO5_CTX = _ctx([0.9, 0.1], [0.6, 0.4], [0.7, 0.95])
 SCENARIO4_CTX = _ctx([0.9, 0.1], [0.8, 0.2], [1.0, 0.5])
+
+# Every (principle, mode, variant) the spec accepts, scored on SCENARIO4_CTX
+# with default basis, metric std_dev and threshold 0.5. A variant a mode does
+# not use (dianemetic sen, dianemetic noop) is accepted and ignored.
+SHAPES = [
+    ("difference", "dianemetic", "rawlsian", MAXIMIZE, 0.2),
+    ("difference", "dianemetic", "harsanyian", MAXIMIZE, 0.5),
+    ("difference", "diorthotic", "rawlsian", MAXIMIZE, 0.2),
+    ("difference", "diorthotic", "harsanyian", MAXIMIZE, 0.5),
+    ("equality", "dianemetic", "foster", MINIMIZE, 0.30000000000000004),
+    ("equality", "dianemetic", "sen", MINIMIZE, 0.30000000000000004),
+    ("equality", "diorthotic", "foster", MAXIMIZE, 0.41234622211652944),
+    ("equality", "diorthotic", "sen", MAXIMIZE, 0.35),
+    ("equality_of_opportunity", "dianemetic", None, MINIMIZE, 0.4),
+    ("equality_of_opportunity", "diorthotic", None, MAXIMIZE, -0.4),
+    ("greater_good", "dianemetic", None, MAXIMIZE, 1.5),
+    ("greater_good", "diorthotic", None, MAXIMIZE, 1.5),
+    ("proportion", "dianemetic", "dispersion", MINIMIZE, 0.5555555555555556),
+    ("proportion", "dianemetic", "noop", MINIMIZE, 0.5555555555555556),
+    ("proportion", "diorthotic", "dispersion", MAXIMIZE, -0.5555555555555556),
+    ("proportion", "diorthotic", "noop", MAXIMIZE, 0.0),
+    ("sufficiency", "dianemetic", None, MAXIMIZE, 0.5),
+    ("sufficiency", "diorthotic", None, MAXIMIZE, 0.5),
+]
 
 
 class TestSpecValidation:
@@ -70,89 +93,111 @@ class TestSpecValidation:
         assert _spec("sufficiency", threshold=0.5).resolved_basis() == "output"
 
 
+class TestScoringTable:
+    @pytest.mark.parametrize("principle,mode,variant,expected_direction,expected", SHAPES)
+    def test_every_spec_shape(self, principle, mode, variant, expected_direction, expected):
+        kwargs = {"threshold": 0.5} if principle == "sufficiency" else {}
+        spec = _spec(principle, mode=mode, variant=variant, **kwargs)
+        result = score(spec, SCENARIO4_CTX)
+        assert result.value == expected
+        assert result.direction == direction(spec) == expected_direction
+        default = _spec(principle, mode=mode, **kwargs)
+        if default.resolved_variant() == variant:  # the first variant is the default
+            assert score(default, SCENARIO4_CTX).value == expected
+
+    @pytest.mark.parametrize(
+        "rho,weights,expected",
+        [
+            (2.0, None, -3.0),
+            (2.0, (1.0, 3.0), -7.0),
+            (None, (2.0, 0.5), 2.25),
+            (1.0, (2.0, 0.5), -0.34657359027997264),
+        ],
+    )
+    def test_isoelastic_shapes(self, rho, weights, expected):
+        spec = _spec("greater_good", mode=DIORTHOTIC, rho=rho, weights=weights)
+        result = score(spec, SCENARIO4_CTX)
+        assert result.value == expected
+        assert result.direction == direction(spec) == MAXIMIZE
+
+
 class TestDianemetic:
     def test_difference_on_utilities(self):
         spec = _spec("difference", variant="rawlsian", basis="utility")
-        result = score_dianemetic(spec, SCENARIO5_CTX)
+        result = score(spec, SCENARIO5_CTX)
         assert_close(result.value, 0.7)
         assert result.direction == MAXIMIZE
 
     def test_greater_good(self):
-        result = score_dianemetic(_spec("greater_good"), SCENARIO4_CTX)
+        result = score(_spec("greater_good"), SCENARIO4_CTX)
         assert_close(result.value, 1.5)
         assert result.direction == MAXIMIZE
 
     def test_equality_on_equal_utilities(self):
         spec = _spec("equality", basis="utility", metric=STD)
         ctx = _ctx([1, 1], [0.3, 0.7], [0.5, 0.5])
-        result = score_dianemetic(spec, ctx)
+        result = score(spec, ctx)
         assert result.value == 0.0
         assert result.direction == MINIMIZE
 
     def test_harsanyian_variant_takes_the_mean(self):
         spec = _spec("difference", variant="harsanyian", basis="utility")
-        assert_close(score_dianemetic(spec, SCENARIO4_CTX).value, 0.75)
+        assert_close(score(spec, SCENARIO4_CTX).value, 0.75)
 
     def test_proportion_needs_positive_inputs(self):
         ctx = _ctx([1, 0], [0.5, 0.5], [0.5, 0.5])
         with pytest.raises(ZeroInputError):
-            score_dianemetic(_spec("proportion", metric=STD), ctx)
+            score(_spec("proportion", metric=STD), ctx)
 
     def test_sufficiency_share(self):
         spec = _spec("sufficiency", basis="utility", threshold=0.5)
-        assert score_dianemetic(spec, SCENARIO4_CTX).value == 1.0
+        assert score(spec, SCENARIO4_CTX).value == 1.0
 
 
 class TestDiorthotic:
     def test_difference_on_outputs(self):
         spec = _spec("difference", mode=DIORTHOTIC, basis="output")
         ctx = _ctx([8, 12], [3.5, 3.5], [3.325, 2.975])
-        result = score_diorthotic(spec, ctx)
+        result = score(spec, ctx)
         assert_close(result.value, 3.5)
         assert result.direction == MAXIMIZE
 
     def test_greater_good_at_frontier_endpoint(self):
         spec = _spec("greater_good", mode=DIORTHOTIC)
         ctx = _ctx([8, 12], [7.0, 0.0], [6.65, 0.0])
-        result = score_diorthotic(spec, ctx)
+        result = score(spec, ctx)
         assert_close(result.value, 6.65)
 
     def test_proportion_dispersion_of_ratios(self):
         spec = _spec("proportion", mode=DIORTHOTIC, basis="output", metric=STD)
         ctx = _ctx([8, 12], [2.8, 4.2], [2.66, 3.57])
-        result = score_diorthotic(spec, ctx)
+        result = score(spec, ctx)
         assert result.value == pytest.approx(0.0, abs=1e-9)
         assert result.direction == MAXIMIZE
 
     def test_proportion_noop_scores_zero(self):
         spec = _spec("proportion", mode=DIORTHOTIC, variant="noop")
-        assert score_diorthotic(spec, SCENARIO4_CTX).value == 0.0
+        assert score(spec, SCENARIO4_CTX).value == 0.0
 
     def test_equality_foster_default_and_sen(self):
         ctx = _ctx([8, 12], [3.5, 3.5], [3.325, 2.975])
         assert_close(
-            score_diorthotic(_spec("equality", mode=DIORTHOTIC), ctx).value,
+            score(_spec("equality", mode=DIORTHOTIC), ctx).value,
             foster(ctx.outputs),
         )
         assert_close(
-            score_diorthotic(_spec("equality", mode=DIORTHOTIC, variant="sen"), ctx).value,
+            score(_spec("equality", mode=DIORTHOTIC, variant="sen"), ctx).value,
             3.5,
         )
 
     def test_equality_of_opportunity_negates_dispersion(self):
         spec = _spec("equality_of_opportunity", mode=DIORTHOTIC, metric=STD)
-        assert_close(score_diorthotic(spec, _ctx([8, 12], [1, 1], [1, 1])).value, -2.0)
+        assert_close(score(spec, _ctx([8, 12], [1, 1], [1, 1])).value, -2.0)
 
     def test_greater_good_isoelastic_parameters(self):
         spec = _spec("greater_good", mode=DIORTHOTIC, rho=RHO_INF)
         ctx = _ctx([1, 1], [1, 1], [0.4, 0.9])
-        assert_close(score_diorthotic(spec, ctx).value, 0.4)
-
-    def test_mode_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            score_diorthotic(_spec("greater_good"), SCENARIO4_CTX)
-        with pytest.raises(ValueError):
-            score_dianemetic(_spec("greater_good", mode=DIORTHOTIC), SCENARIO4_CTX)
+        assert_close(score(spec, ctx).value, 0.4)
 
 
 class TestProperties:
@@ -167,13 +212,13 @@ class TestProperties:
         ctxs = [_ctx([1.0, 2.0], [0.5, 0.5], u) for u in utility_rows]
         gg_dia = _spec("greater_good")
         gg_dio = _spec("greater_good", mode=DIORTHOTIC)
-        by_dia = max(range(len(ctxs)), key=lambda i: score_dianemetic(gg_dia, ctxs[i]).value)
-        by_dio = max(range(len(ctxs)), key=lambda i: score_diorthotic(gg_dio, ctxs[i]).value)
+        by_dia = max(range(len(ctxs)), key=lambda i: score(gg_dia, ctxs[i]).value)
+        by_dio = max(range(len(ctxs)), key=lambda i: score(gg_dio, ctxs[i]).value)
         assert by_dia == by_dio
         diff_dia = _spec("difference", basis="utility")
         diff_dio = _spec("difference", mode=DIORTHOTIC, basis="utility")
-        by_dia = max(range(len(ctxs)), key=lambda i: score_dianemetic(diff_dia, ctxs[i]).value)
-        by_dio = max(range(len(ctxs)), key=lambda i: score_diorthotic(diff_dio, ctxs[i]).value)
+        by_dia = max(range(len(ctxs)), key=lambda i: score(diff_dia, ctxs[i]).value)
+        by_dio = max(range(len(ctxs)), key=lambda i: score(diff_dio, ctxs[i]).value)
         assert by_dia == by_dio
 
     @given(vectors(min_size=2, max_size=12, positive=True))
@@ -183,8 +228,8 @@ class TestProperties:
         ctx_any = _ctx([1.0] * len(y), list(y.values), [1.0] * len(y))
         ctx_equal = _ctx([1.0] * len(y), list(equal.values), [1.0] * len(y))
         assert (
-            score_dianemetic(spec, ctx_equal).value
-            <= score_dianemetic(spec, ctx_any).value + 1e-12
+            score(spec, ctx_equal).value
+            <= score(spec, ctx_any).value + 1e-12
         )
 
     @given(vectors(min_size=2, max_size=12), st.data())
@@ -196,8 +241,8 @@ class TestProperties:
         ones = [1.0] * len(y)
         raised = list(y.values)
         raised[i] += bump
-        before = score_dianemetic(spec, _ctx(ones, list(y.values), ones)).value
-        after = score_dianemetic(spec, _ctx(ones, raised, ones)).value
+        before = score(spec, _ctx(ones, list(y.values), ones)).value
+        after = score(spec, _ctx(ones, raised, ones)).value
         assert after >= before
 
     @given(vectors(min_size=2, max_size=10, positive=True))
@@ -215,7 +260,7 @@ class TestProperties:
                 kwargs["metric"] = STD
             on_y = _spec(principle, basis="output", **kwargs)
             on_u = _spec(principle, basis="utility", **kwargs)
-            assert score_dianemetic(on_y, ctx).value == score_dianemetic(on_u, ctx).value
+            assert score(on_y, ctx).value == score(on_u, ctx).value
 
     def test_direction_table(self):
         assert direction(_spec("equality", metric=STD)) == MINIMIZE

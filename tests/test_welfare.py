@@ -6,12 +6,13 @@ from hypothesis import assume, given, strategies as st
 import oracles
 from conftest import assert_close, scale, vectors
 from fairalloc import (
+    DIORTHOTIC,
     RHO_INF,
     AllocationContext,
     DispersionMetric,
+    PrincipleSpec,
     ValueVector,
     WeightMismatchError,
-    WelfareFunction,
     ZeroElementError,
     benthamite,
     bernoulli_nash,
@@ -19,13 +20,20 @@ from fairalloc import (
     isoelastic,
     mean,
     rawlsian,
+    score,
     sen,
-    welfare,
 )
+
+STD = DispersionMetric("std_dev")
 
 
 def _ctx(x, y, u):
     return AllocationContext(ValueVector(x), ValueVector(y), ValueVector(u))
+
+
+def _welfare(principle, ctx, **kwargs):
+    """Diorthotic (welfare-function) score of one principle."""
+    return score(PrincipleSpec(principle, mode=DIORTHOTIC, **kwargs), ctx).value
 
 
 class TestIsoelastic:
@@ -143,11 +151,24 @@ class TestOrderingConsistency:
         )
     )
     def test_high_rho_tracks_rawlsian(self, candidates):
+        rho = 50.0
         us = [ValueVector(c) for c in candidates]
         mins = [rawlsian(u) for u in us]
-        assume(max(mins) - sorted(mins)[-2] > 1e-3)
-        by_iso = max(range(len(us)), key=lambda i: isoelastic(us[i], None, 50.0))
+        top_min, second_min = sorted(mins)[-1], sorted(mins)[-2]
+        # Sufficient for the maximin winner to win at this rho: its welfare
+        # sum(u^(1-rho)) is at most n * top_min^(1-rho), and any rival's is at
+        # least second_min^(1-rho). The factor 2 leaves room for rounding.
+        assume((top_min / second_min) ** (rho - 1) > 2 * len(candidates[0]))
+        by_iso = max(range(len(us)), key=lambda i: isoelastic(us[i], None, rho))
         assert by_iso == max(range(len(us)), key=lambda i: mins[i])
+
+    def test_high_rho_can_rank_opposite_to_maximin(self):
+        # A larger minimum does not win at finite rho when the rival has two
+        # near-minimum elements: 1.008^49 is about 1.48 < 2.
+        lone_low = ValueVector([1.0, 1.0, 0.48828125])
+        two_low = ValueVector([1.0, 0.4921875, 0.4921875])
+        assert rawlsian(two_low) > rawlsian(lone_low)
+        assert isoelastic(lone_low, None, 50.0) > isoelastic(two_low, None, 50.0)
 
     @given(
         st.lists(
@@ -165,37 +186,30 @@ class TestOrderingConsistency:
 
 
 class TestWelfareDispatch:
+    """Diorthotic ``score`` picks the welfare function and its vector."""
+
     def test_examples(self):
         ctx = _ctx([0.9, 0.1], [0.8, 0.2], [1.0, 0.5])
-        assert_close(welfare(WelfareFunction("benthamite"), ctx), 1.5)
+        assert_close(_welfare("greater_good", ctx), 1.5)
         ctx2 = _ctx([8, 12], [3.5, 3.5], [3.325, 2.975])
-        assert_close(welfare(WelfareFunction("sen"), ctx2), 3.5)
-        leontief = WelfareFunction("leontief_dispersion", metric=DispersionMetric("std_dev"))
+        assert_close(_welfare("equality", ctx2, variant="sen"), 3.5)
         ctx3 = _ctx([2, 2], [1, 1], [1, 1])
-        assert welfare(leontief, ctx3) == 0.0
+        equal_inputs = _welfare("equality_of_opportunity", ctx3, metric=STD)
+        assert equal_inputs == 0.0
+        assert math.copysign(1.0, equal_inputs) == 1.0  # +0.0, never -0.0
 
     def test_dispersion_welfare_is_negated(self):
-        leontief = WelfareFunction("leontief_dispersion", metric=DispersionMetric("std_dev"))
         ctx = _ctx([1, 3], [1, 1], [1, 1])
-        assert_close(welfare(leontief, ctx), -1.0)
+        assert_close(_welfare("equality_of_opportunity", ctx, metric=STD), -1.0)
 
     def test_vector_selection(self):
         ctx = _ctx([1.0, 2.0], [4.0, 6.0], [0.5, 0.25])
-        assert_close(welfare(WelfareFunction("rawlsian"), ctx), 0.25)  # utilities
-        assert_close(welfare(WelfareFunction("foster"), ctx), foster(ctx.outputs))
+        assert_close(_welfare("difference", ctx, basis="utility"), 0.25)
+        assert_close(_welfare("difference", ctx), 4.0)  # outputs by default
+        assert_close(_welfare("equality", ctx), foster(ctx.outputs))
+        assert_close(_welfare("greater_good", ctx, rho=0.0), benthamite(ctx.utilities))
         assert_close(
-            welfare(WelfareFunction("isoelastic", rho=0.0), ctx),
-            benthamite(ctx.utilities),
+            _welfare("greater_good", ctx, rho=1.0),
+            math.log(bernoulli_nash(ctx.utilities)),
         )
-        assert_close(
-            welfare(WelfareFunction("bernoulli_nash"), ctx),
-            0.5 * 0.25,
-        )
-
-    def test_invalid_kinds(self):
-        with pytest.raises(ValueError):
-            WelfareFunction("nope")
-        with pytest.raises(ValueError):
-            WelfareFunction("isoelastic")
-        with pytest.raises(ValueError):
-            WelfareFunction("leontief_dispersion")
+        assert_close(_welfare("equality_of_opportunity", ctx, metric=STD), -0.5)
