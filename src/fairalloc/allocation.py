@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .core import Agent, AllocationContext, ValueVector
@@ -66,6 +66,7 @@ class DiscreteProblem:
 
     agents: tuple[Agent, ...]
     pieces: tuple[Piece, ...]
+    inputs: ValueVector = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "agents", _checked_agents(self.agents))
@@ -80,10 +81,7 @@ class DiscreteProblem:
         total = math.fsum(p.amount for p in self.pieces)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"piece amounts must sum to 1, got {total!r}")
-
-    @property
-    def inputs(self) -> ValueVector:
-        return ValueVector(a.input for a in self.agents)
+        object.__setattr__(self, "inputs", ValueVector(a.input for a in self.agents))
 
 
 @dataclass(frozen=True)
@@ -104,6 +102,10 @@ class ContinuousProblem:
     agents: tuple[Agent, ...]
     total: float
     retention: Mapping[str, float]
+    inputs: ValueVector = field(init=False, compare=False, repr=False)
+    # Retention in agent order, copied once validated, so later changes to
+    # the caller's mapping cannot reach scoring.
+    _factors: tuple[float, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "agents", _checked_agents(self.agents))
@@ -118,13 +120,11 @@ class ContinuousProblem:
         unknown = set(self.retention) - {a.id for a in self.agents}
         if unknown:
             raise ValueError(f"retention for unknown agents {sorted(unknown)}")
-
-    @property
-    def inputs(self) -> ValueVector:
-        return ValueVector(a.input for a in self.agents)
+        object.__setattr__(self, "inputs", ValueVector(a.input for a in self.agents))
+        object.__setattr__(self, "_factors", tuple(self.retention[a.id] for a in self.agents))
 
     def retention_factors(self) -> tuple[float, ...]:
-        return tuple(self.retention[a.id] for a in self.agents)
+        return self._factors
 
 
 def enumerate_discrete(

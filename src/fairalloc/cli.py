@@ -17,11 +17,11 @@ import sys
 from pathlib import Path
 
 from .allocation import RankingTable, continuous_ranking, discrete_ranking, heatmap
-from .config import ProblemConfig, load_config, parse_config
+from .config import ProblemConfig, load_config
 from .core import ValueVector
 from .dispersion import DispersionMetric, dispersion
 from .errors import ConfigError, DomainError, ScoringError
-from .presets import get_preset, preset_names
+from .presets import load_preset, preset_names
 
 DEFAULT_RESOLUTION = 10_001
 
@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> ProblemConfig:
     if args.preset:
-        return parse_config(get_preset(args.preset))
+        return load_preset(args.preset)
     return load_config(args.config)
 
 
@@ -107,6 +107,9 @@ def cmd_metrics(args) -> int:
         print(f"error: cannot parse --values {args.values!r}", file=sys.stderr)
         return EXIT_CONFIG
     names = [name for chunk in args.metric for name in chunk.split(",") if name]
+    if not names:
+        print("error: no metric given", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         vector = ValueVector(values)
         metrics = [DispersionMetric.parse(name) for name in names]

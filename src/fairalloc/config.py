@@ -3,6 +3,13 @@
 The schema is fail-closed: unknown keys are rejected with a path-qualified
 message, because a typo in a fairness configuration would otherwise
 silently change verdicts.
+
+Each JSON object has one schema table below, mapping each key, in reading
+order, to ``(reader, default)``; a ``_REQUIRED`` default marks a required
+key. A rule about one object is checked by the type built from it
+(``Agent``, ``Piece``, ``PrincipleSpec``, the problem classes) and only
+gets its path here; ``parse_config`` checks the rules that relate one
+top-level key to another.
 """
 
 from __future__ import annotations
@@ -11,28 +18,13 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
-from .allocation import ContinuousProblem, DiscreteProblem, Piece
+from .allocation import ContinuousProblem, DiscreteProblem, Piece, _checked_agents
 from .core import Agent
 from .dispersion import DispersionMetric
 from .errors import ConfigError
 from .principles import DIANEMETIC, PrincipleSpec
-
-_TOP_KEYS_DISCRETE = {"kind", "agents", "pieces", "labels", "principles", "aggregation"}
-_TOP_KEYS_CONTINUOUS = {"kind", "agents", "total", "retention", "principles", "aggregation"}
-_AGENT_KEYS = {"id", "input", "weight"}
-_PIECE_KEYS = {"amount", "bonus"}
-_PRINCIPLE_KEYS = {
-    "principle",
-    "variant",
-    "basis",
-    "metric",
-    "threshold",
-    "mode",
-    "rho",
-    "weights",
-}
 
 
 @dataclass(frozen=True)
@@ -54,16 +46,12 @@ def _fail(path: str, message: str) -> ConfigError:
     return ConfigError(f"{path}: {message}")
 
 
-def _check_unknown(obj: dict, allowed: set[str], path: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise _fail(path, f"unknown key {unknown[0]!r}")
-
-
-def _require(obj: dict, key: str, path: str) -> Any:
-    if key not in obj:
-        raise _fail(path, f"missing required key {key!r}")
-    return obj[key]
+def _built(make: Callable, path: str, *args, **kwargs):
+    """Call a constructor, giving its ``ValueError`` the config path."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as err:
+        raise _fail(path, str(err)) from None
 
 
 def _as_dict(value: Any, path: str) -> dict:
@@ -81,7 +69,10 @@ def _as_list(value: Any, path: str) -> list:
 def _as_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(path, "expected a number")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        out = math.inf
     if not math.isfinite(out):
         raise _fail(path, "expected a finite number")
     return out
@@ -93,192 +84,169 @@ def _as_string(value: Any, path: str) -> str:
     return value
 
 
-def _parse_agents(raw: Any, path: str) -> tuple[Agent, ...]:
-    items = _as_list(raw, path)
-    if not items:
-        raise _fail(path, "at least one agent required")
-    agents = []
-    for i, item in enumerate(items):
-        apath = f"{path}[{i}]"
-        obj = _as_dict(item, apath)
-        _check_unknown(obj, _AGENT_KEYS, apath)
-        agent_id = _as_string(_require(obj, "id", apath), f"{apath}.id")
-        value = _as_number(_require(obj, "input", apath), f"{apath}.input")
-        weight = _as_number(obj.get("weight", 1.0), f"{apath}.weight")
-        try:
-            agents.append(Agent(id=agent_id, input=value, weight=weight))
-        except ValueError as err:
-            raise _fail(apath, str(err)) from None
-    if len({a.id for a in agents}) != len(agents):
-        raise _fail(path, "agent ids must be unique")
-    return tuple(agents)
+def _optional_string(value: Any, path: str) -> str | None:
+    return None if value is None else _as_string(value, path)
 
 
-def _parse_bonus(raw: Any, agents: tuple[Agent, ...], path: str) -> dict[str, float]:
-    obj = _as_dict(raw, path)
+def _as_metric(value: Any, path: str) -> DispersionMetric:
+    return _built(DispersionMetric.parse, path, _as_string(value, path))
+
+
+def _as_rho(value: Any, path: str) -> float:
+    return math.inf if value == "inf" else _as_number(value, path)
+
+
+def _as_kind(value: Any, path: str) -> str:
+    kind = _as_string(value, path)
+    if kind not in _TOP_LEVEL:
+        raise _fail(path, f"expected 'discrete' or 'continuous', got {kind!r}")
+    return kind
+
+
+def _number_map(value: Any, path: str) -> dict[str, float]:
+    return {key: _as_number(v, f"{path}.{key}") for key, v in _as_dict(value, path).items()}
+
+
+def _list_of(read_item: Callable) -> Callable:
+    def read(value: Any, path: str) -> tuple:
+        items = _as_list(value, path)
+        return tuple(read_item(item, f"{path}[{i}]") for i, item in enumerate(items))
+
+    return read
+
+
+def _object(table: dict, make: Callable = dict) -> Callable:
+    def read(value: Any, path: str):
+        return _built(make, path, **_read(value, table, path))
+
+    return read
+
+
+_REQUIRED = object()
+
+
+def _field(obj: dict, key: str, entry: tuple, path: str) -> Any:
+    reader, default = entry
+    if key in obj:
+        return reader(obj[key], f"{path}.{key}")
+    if default is _REQUIRED:
+        raise _fail(path, f"missing required key {key!r}")
+    return default
+
+
+def _read(value: Any, table: dict, path: str) -> dict[str, Any]:
+    """Check one JSON object against its schema table and read its keys."""
+    obj = _as_dict(value, path)
+    unknown = sorted(set(obj) - set(table))
+    if unknown:
+        raise _fail(path, f"unknown key {unknown[0]!r}")
+    return {key: _field(obj, key, entry, path) for key, entry in table.items()}
+
+
+_AGENT = {"id": (_as_string, _REQUIRED), "input": (_as_number, _REQUIRED)}
+_PIECE = {"amount": (_as_number, _REQUIRED), "bonus": (_number_map, {})}
+# Read into a dict, not a PrincipleSpec: parse_config checks the weight
+# count against the agents first.
+_PRINCIPLE = {
+    "principle": (_as_string, _REQUIRED),
+    "mode": (_as_string, DIANEMETIC),
+    "variant": (_optional_string, None),
+    "basis": (_optional_string, None),
+    "metric": (_as_metric, None),
+    "threshold": (_as_number, None),
+    "rho": (_as_rho, None),
+    "weights": (_list_of(_as_number), None),
+}
+_AGGREGATION = {"weights": (_number_map, _REQUIRED)}
+
+_KIND = (_as_kind, _REQUIRED)
+_AGENTS = (_list_of(_object(_AGENT, Agent)), _REQUIRED)
+_PRINCIPLES = (_list_of(_object(_PRINCIPLE)), _REQUIRED)
+_AGGREGATIONS = (_object(_AGGREGATION), None)
+_TOP_LEVEL = {
+    "discrete": {
+        "kind": _KIND,
+        "agents": _AGENTS,
+        "pieces": (_list_of(_object(_PIECE, Piece)), _REQUIRED),
+        "principles": _PRINCIPLES,
+        "labels": (_list_of(_as_string), None),
+        "aggregation": _AGGREGATIONS,
+    },
+    "continuous": {
+        "kind": _KIND,
+        "agents": _AGENTS,
+        "total": (_as_number, _REQUIRED),
+        "retention": (_number_map, _REQUIRED),
+        "principles": _PRINCIPLES,
+        "aggregation": _AGGREGATIONS,
+    },
+}
+
+
+def _discrete_problem(agents: tuple[Agent, ...], pieces: tuple[Piece, ...]) -> DiscreteProblem:
+    # DiscreteProblem checks bonus agents too; this check adds the path.
     known = {a.id for a in agents}
-    bonus = {}
-    for agent_id, value in obj.items():
-        if agent_id not in known:
-            raise _fail(path, f"bonus for unknown agent {agent_id!r}")
-        bonus[agent_id] = _as_number(value, f"{path}.{agent_id}")
-    return bonus
+    for i, piece in enumerate(pieces):
+        for agent_id in piece.bonus:
+            if agent_id not in known:
+                raise _fail(f"$.pieces[{i}].bonus", f"bonus for unknown agent {agent_id!r}")
+    return _built(DiscreteProblem, "$.pieces", agents=agents, pieces=pieces)
 
 
-def _parse_discrete(obj: dict, agents: tuple[Agent, ...]) -> DiscreteProblem:
-    items = _as_list(_require(obj, "pieces", "$"), "$.pieces")
-    pieces = []
-    for i, item in enumerate(items):
-        ppath = f"$.pieces[{i}]"
-        piece = _as_dict(item, ppath)
-        _check_unknown(piece, _PIECE_KEYS, ppath)
-        amount = _as_number(_require(piece, "amount", ppath), f"{ppath}.amount")
-        bonus = _parse_bonus(piece.get("bonus", {}), agents, f"{ppath}.bonus")
-        try:
-            pieces.append(Piece(amount=amount, bonus=bonus))
-        except ValueError as err:
-            raise _fail(ppath, str(err)) from None
-    try:
-        return DiscreteProblem(agents=agents, pieces=tuple(pieces))
-    except ValueError as err:
-        raise _fail("$.pieces", str(err)) from None
-
-
-def _parse_continuous(obj: dict, agents: tuple[Agent, ...]) -> ContinuousProblem:
-    total = _as_number(_require(obj, "total", "$"), "$.total")
-    raw = _as_dict(_require(obj, "retention", "$"), "$.retention")
-    retention = {
-        agent_id: _as_number(value, f"$.retention.{agent_id}")
-        for agent_id, value in raw.items()
-    }
-    try:
-        return ContinuousProblem(agents=agents, total=total, retention=retention)
-    except ValueError as err:
-        raise _fail("$", str(err)) from None
-
-
-def _parse_principle(item: Any, path: str, n_agents: int) -> tuple[str, PrincipleSpec]:
-    obj = _as_dict(item, path)
-    _check_unknown(obj, _PRINCIPLE_KEYS, path)
-    name = _as_string(_require(obj, "principle", path), f"{path}.principle")
-    mode = _as_string(obj.get("mode", DIANEMETIC), f"{path}.mode")
-    variant = obj.get("variant")
-    if variant is not None:
-        variant = _as_string(variant, f"{path}.variant")
-    basis = obj.get("basis")
-    if basis is not None:
-        basis = _as_string(basis, f"{path}.basis")
-    metric = None
-    if "metric" in obj:
-        text = _as_string(obj["metric"], f"{path}.metric")
-        try:
-            metric = DispersionMetric.parse(text)
-        except ValueError as err:
-            raise _fail(f"{path}.metric", str(err)) from None
-    threshold = None
-    if "threshold" in obj:
-        threshold = _as_number(obj["threshold"], f"{path}.threshold")
-    rho = None
-    if "rho" in obj:
-        raw_rho = obj["rho"]
-        if raw_rho == "inf":
-            rho = math.inf
-        else:
-            rho = _as_number(raw_rho, f"{path}.rho")
-    weights = None
-    if "weights" in obj:
-        values = _as_list(obj["weights"], f"{path}.weights")
-        weights = tuple(
-            _as_number(v, f"{path}.weights[{i}]") for i, v in enumerate(values)
-        )
-        if len(weights) != n_agents:
+def _specs(principles: tuple[dict, ...], n_agents: int) -> tuple[PrincipleSpec, ...]:
+    if not principles:
+        raise _fail("$.principles", "at least one principle required")
+    specs: list[PrincipleSpec] = []
+    for i, fields in enumerate(principles):
+        path = f"$.principles[{i}]"
+        if fields["weights"] is not None and len(fields["weights"]) != n_agents:
             raise _fail(f"{path}.weights", f"expected {n_agents} agent weights")
-    try:
-        spec = PrincipleSpec(
-            principle=name,
-            mode=mode,
-            variant=variant,
-            basis=basis,
-            metric=metric,
-            threshold=threshold,
-            rho=rho,
-            weights=weights,
-        )
-    except ValueError as err:
-        raise _fail(path, str(err)) from None
-    return name, spec
+        spec = _built(PrincipleSpec, path, **fields)
+        if any(s.principle == spec.principle for s in specs):
+            raise _fail(path, f"duplicate principle {spec.principle!r}")
+        specs.append(spec)
+    return tuple(specs)
 
 
-def _parse_aggregation(
-    obj: dict, principle_labels: tuple[str, ...]
+def _aggregation_weights(
+    aggregation: dict | None, principle_labels: tuple[str, ...]
 ) -> tuple[float, ...]:
-    if "aggregation" not in obj:
-        return (1.0,) * len(principle_labels)
-    agg = _as_dict(obj["aggregation"], "$.aggregation")
-    _check_unknown(agg, {"weights"}, "$.aggregation")
-    raw = _as_dict(_require(agg, "weights", "$.aggregation"), "$.aggregation.weights")
-    known = set(principle_labels)
+    raw = {} if aggregation is None else aggregation["weights"]
     for label in raw:
-        if label not in known:
+        if label not in principle_labels:
             raise _fail("$.aggregation.weights", f"unknown principle label {label!r}")
-    weights = []
-    for label in principle_labels:
-        value = _as_number(
-            raw.get(label, 1.0), f"$.aggregation.weights.{label}"
-        )
-        if value < 0:
+    weights = tuple(raw.get(label, 1.0) for label in principle_labels)
+    for label, weight in zip(principle_labels, weights):
+        if weight < 0:
             raise _fail(f"$.aggregation.weights.{label}", "weight must be >= 0")
-        weights.append(value)
-    return tuple(weights)
+    return weights
 
 
 def parse_config(data: Any) -> ProblemConfig:
     """Validate a decoded JSON document and build the problem it describes."""
-    obj = _as_dict(data, "$")
-    kind = _as_string(_require(obj, "kind", "$"), "$.kind")
+    kind = _field(_as_dict(data, "$"), "kind", _KIND, "$")
+    doc = _read(data, _TOP_LEVEL[kind], "$")
+    agents = _built(_checked_agents, "$.agents", doc["agents"])
     if kind == "discrete":
-        _check_unknown(obj, _TOP_KEYS_DISCRETE, "$")
-    elif kind == "continuous":
-        _check_unknown(obj, _TOP_KEYS_CONTINUOUS, "$")
+        problem: DiscreteProblem | ContinuousProblem = _discrete_problem(agents, doc["pieces"])
     else:
-        raise _fail("$.kind", f"expected 'discrete' or 'continuous', got {kind!r}")
-
-    agents = _parse_agents(_require(obj, "agents", "$"), "$.agents")
-    if kind == "discrete":
-        problem: DiscreteProblem | ContinuousProblem = _parse_discrete(obj, agents)
-    else:
-        problem = _parse_continuous(obj, agents)
-
-    raw_principles = _as_list(_require(obj, "principles", "$"), "$.principles")
-    if not raw_principles:
-        raise _fail("$.principles", "at least one principle required")
-    labels: list[str] = []
-    specs: list[PrincipleSpec] = []
-    for i, item in enumerate(raw_principles):
-        label, spec = _parse_principle(item, f"$.principles[{i}]", len(agents))
-        if label in labels:
-            raise _fail(f"$.principles[{i}]", f"duplicate principle {label!r}")
-        labels.append(label)
-        specs.append(spec)
-
-    candidate_labels = None
-    if kind == "discrete" and "labels" in obj:
-        raw_labels = _as_list(obj["labels"], "$.labels")
-        candidate_labels = tuple(
-            _as_string(v, f"$.labels[{i}]") for i, v in enumerate(raw_labels)
+        problem = _built(
+            ContinuousProblem, "$", agents=agents, total=doc["total"], retention=doc["retention"]
         )
+    specs = _specs(doc["principles"], len(agents))
+    labels = tuple(spec.principle for spec in specs)
+    candidate_labels = doc.get("labels")  # discrete documents only
+    if candidate_labels is not None:
         expected = len(agents) ** len(problem.pieces)
         if len(candidate_labels) != expected:
             raise _fail("$.labels", f"expected {expected} labels (one per allocation)")
         if len(set(candidate_labels)) != len(candidate_labels):
             raise _fail("$.labels", "labels must be unique")
-
-    weights = _parse_aggregation(obj, tuple(labels))
     return ProblemConfig(
         problem=problem,
-        principle_labels=tuple(labels),
-        specs=tuple(specs),
-        weights=weights,
+        principle_labels=labels,
+        specs=specs,
+        weights=_aggregation_weights(doc["aggregation"], labels),
         candidate_labels=candidate_labels,
     )
 
@@ -293,4 +261,6 @@ def load_config(path: str | Path) -> ProblemConfig:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: invalid JSON: {err.msg}") from None
+    except ValueError as err:  # e.g. an integer past Python's int-conversion digit limit
+        raise ConfigError(f"{path}: invalid JSON: {err}") from None
     return parse_config(data)

@@ -62,17 +62,14 @@ class ValueVector:
 
 @dataclass(frozen=True)
 class Agent:
-    """One individual: opaque id, input x_i, and welfare weight alpha_i."""
+    """One individual: opaque id and input x_i."""
 
     id: str
     input: float
-    weight: float = 1.0
 
     def __post_init__(self):
         if not math.isfinite(self.input) or self.input < 0.0:
             raise ValueError(f"agent {self.id!r}: input must be finite and >= 0")
-        if not math.isfinite(self.weight) or self.weight <= 0.0:
-            raise ValueError(f"agent {self.id!r}: weight must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -89,10 +86,6 @@ class AllocationContext:
             raise ValueError(
                 "inputs, outputs and utilities must have identical length"
             )
-
-    @property
-    def size(self) -> int:
-        return len(self.inputs)
 
 
 def mean(v: ValueVector) -> float:

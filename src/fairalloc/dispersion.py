@@ -21,17 +21,6 @@ from .errors import (
     ZeroSumError,
 )
 
-METRIC_KINDS = (
-    "gini",
-    "atkinson",
-    "herfindahl",
-    "hoover",
-    "palma",
-    "std_dev",
-    "theil_t",
-    "theil_l",
-)
-
 _METRIC_RE = re.compile(r"atkinson\((?P<eps>[^)]+)\)")
 
 
@@ -70,15 +59,6 @@ class DispersionMetric:
         if self.kind == "atkinson":
             return f"atkinson({self.epsilon:g})"
         return self.kind
-
-
-GINI = DispersionMetric("gini")
-HERFINDAHL = DispersionMetric("herfindahl")
-HOOVER = DispersionMetric("hoover")
-PALMA = DispersionMetric("palma")
-STD_DEV = DispersionMetric("std_dev")
-THEIL_T = DispersionMetric("theil_t")
-THEIL_L = DispersionMetric("theil_l")
 
 
 def gini(v: ValueVector) -> float:
@@ -230,3 +210,6 @@ _FUNCTIONS = {
     "theil_t": theil_t,
     "theil_l": theil_l,
 }
+METRIC_KINDS = ("atkinson", *_FUNCTIONS)
+
+STD_DEV = DispersionMetric("std_dev")

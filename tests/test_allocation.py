@@ -132,6 +132,27 @@ class TestProblemValidation:
             ContinuousProblem(agents=agents, total=7.0, retention={"a": 0.5})
 
 
+    def test_inputs_built_once(self):
+        for problem in (cake_problem(), fishermen_problem()):
+            assert problem.inputs is problem.inputs
+            assert problem.inputs == ValueVector(a.input for a in problem.agents)
+            assert "inputs" not in repr(problem)
+
+    def test_scoring_ignores_later_retention_changes(self):
+        agents = (Agent(id="a", input=1.0), Agent(id="b", input=2.0))
+        retention = {"a": 0.5, "b": 1.0}
+        problem = ContinuousProblem(agents=agents, total=4.0, retention=retention)
+        spec = PrincipleSpec("greater_good", mode=DIORTHOTIC)
+        before = optimize_frontier(problem, spec, 11)
+        retention["a"] = 5.0
+        assert problem.retention_factors() == (0.5, 1.0)
+        assert optimize_frontier(problem, spec, 11) == before
+        ctx = frontier_context(problem, ValueVector([4.0, 0.0]))
+        assert ctx.utilities == ValueVector([2.0, 0.0])
+        cell = heatmap(problem, spec, 1)[2]
+        assert (cell.y_a, cell.y_b, cell.score) == (4.0, 0.0, 2.0)
+
+
 class TestFrontierContext:
     def test_examples(self):
         problem = fishermen_problem()

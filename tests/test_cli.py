@@ -54,6 +54,13 @@ class TestMetrics:
         code, _, err = run(capsys, "metrics", "--values", "1,2", "--metric", "nope")
         assert code == 2
 
+    @pytest.mark.parametrize("metric", [",", ""])
+    def test_no_metric_exit_2(self, capsys, metric):
+        code, out, err = run(capsys, "metrics", "--values", "1,2", "--metric", metric)
+        assert code == 2
+        assert out == ""
+        assert err == "error: no metric given\n"
+
 
 class TestEvaluate:
     def test_cake_preset_verdicts(self, capsys):
@@ -72,6 +79,15 @@ class TestEvaluate:
         code, _, err = run(capsys, "evaluate", "--config", str(empty))
         assert code == 2
         assert "missing required key" in err
+
+    def test_agent_weight_rejected(self, capsys, tmp_path):
+        doc = get_preset("cake")
+        doc["agents"][0]["weight"] = 2.0
+        path = tmp_path / "weight.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run(capsys, "evaluate", "--config", str(path))
+        assert code == 2
+        assert err == "error: $.agents[0]: unknown key 'weight'\n"
 
     def test_unparseable_config_exits_2(self, capsys, tmp_path):
         empty = tmp_path / "empty.json"

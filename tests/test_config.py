@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import pytest
 
@@ -82,6 +84,21 @@ class TestRejection:
                 "$.principles[0]: weights must be finite and > 0",
                 id="zero-welfare-weight",
             ),
+            pytest.param(
+                lambda d: d["agents"][1].update(input=10**400),
+                "$.agents[1].input: expected a finite number",
+                id="huge-integer-input",
+            ),
+            pytest.param(
+                lambda d: d.update(aggregation={"weights": {"greater_good": -(10**400)}}),
+                "$.aggregation.weights.greater_good: expected a finite number",
+                id="huge-integer-aggregation-weight",
+            ),
+            pytest.param(
+                lambda d: d["agents"][0].update(weight=1.0),
+                "$.agents[0]: unknown key 'weight'",
+                id="agent-weight",
+            ),
         ],
     )
     def test_path_qualified_errors(self, mutate, path_fragment):
@@ -137,6 +154,125 @@ class TestRejection:
             parse_config(doc)
 
 
+def _greater_good(**fields):
+    spec = {"principle": "greater_good", "mode": "diorthotic", **fields}
+    return lambda d: d["principles"].__setitem__(0, spec)
+
+
+def _equality(metric):
+    return lambda d: d["principles"].__setitem__(0, {"principle": "equality", "metric": metric})
+
+
+class TestErrorContract:
+    """Full ConfigError messages: one missing-key, unknown-key and wrong-type
+    case per schema table, plus each special value reader."""
+
+    @pytest.mark.parametrize(
+        "make,mutate,message",
+        [
+            # agent
+            (minimal_discrete, lambda d: d["agents"][0].pop("id"),
+             "$.agents[0]: missing required key 'id'"),
+            (minimal_discrete, lambda d: d["agents"][1].update(x=1),
+             "$.agents[1]: unknown key 'x'"),
+            (minimal_discrete, lambda d: d["agents"][0].update(id=1),
+             "$.agents[0].id: expected a string"),
+            (minimal_discrete, lambda d: d["agents"][1].update(id="A"),
+             "$.agents: agent ids must be unique"),
+            # piece
+            (minimal_discrete, lambda d: d["pieces"][0].pop("amount"),
+             "$.pieces[0]: missing required key 'amount'"),
+            (minimal_discrete, lambda d: d["pieces"][0].update(x=1),
+             "$.pieces[0]: unknown key 'x'"),
+            (minimal_discrete, lambda d: d["pieces"][1].update(bonus=[]),
+             "$.pieces[1].bonus: expected an object"),
+            # principle
+            (minimal_discrete, lambda d: d["principles"][0].pop("principle"),
+             "$.principles[0]: missing required key 'principle'"),
+            (minimal_discrete, lambda d: d["principles"][0].update(foo=1),
+             "$.principles[0]: unknown key 'foo'"),
+            (minimal_discrete, lambda d: d["principles"][0].update(mode=1),
+             "$.principles[0].mode: expected a string"),
+            (minimal_discrete, lambda d: d["principles"][0].update(threshold=None),
+             "$.principles[0].threshold: expected a number"),
+            # discrete top level
+            (minimal_discrete, lambda d: d.pop("kind"), "$: missing required key 'kind'"),
+            (minimal_discrete, lambda d: d.update(kind=1), "$.kind: expected a string"),
+            (minimal_discrete, lambda d: d.pop("pieces"), "$: missing required key 'pieces'"),
+            (minimal_discrete, lambda d: d.update(total=1), "$: unknown key 'total'"),
+            (minimal_discrete, lambda d: d.update(labels="x"), "$.labels: expected an array"),
+            # continuous top level
+            (minimal_continuous, lambda d: d.pop("retention"),
+             "$: missing required key 'retention'"),
+            (minimal_continuous, lambda d: d.update(labels=[]), "$: unknown key 'labels'"),
+            (minimal_continuous, lambda d: d.update(total="4"), "$.total: expected a number"),
+            (minimal_continuous, lambda d: d["retention"].pop("B"),
+             "$: missing retention for agent 'B'"),
+            # aggregation
+            (minimal_discrete, lambda d: d.update(aggregation={}),
+             "$.aggregation: missing required key 'weights'"),
+            (minimal_discrete, lambda d: d.update(aggregation={"weights": {}, "x": 1}),
+             "$.aggregation: unknown key 'x'"),
+            (minimal_discrete, lambda d: d.update(aggregation=[]),
+             "$.aggregation: expected an object"),
+            # metric reader
+            (minimal_discrete, _equality("nope"),
+             "$.principles[0].metric: unknown dispersion metric 'nope'"),
+            (minimal_discrete, _equality(3), "$.principles[0].metric: expected a string"),
+            (minimal_discrete, _equality(None), "$.principles[0].metric: expected a string"),
+            (minimal_discrete, _equality("atkinson(x)"),
+             "$.principles[0].metric: invalid atkinson parameter in 'atkinson(x)'"),
+            # rho reader
+            (minimal_continuous, _greater_good(rho="infinity"),
+             "$.principles[0].rho: expected a number"),
+            # number list reader
+            (minimal_continuous, _greater_good(weights=[1, "a"]),
+             "$.principles[0].weights[1]: expected a number"),
+            (minimal_continuous, _greater_good(weights="a"),
+             "$.principles[0].weights: expected an array"),
+            (minimal_continuous, _greater_good(weights=[1]),
+             "$.principles[0].weights: expected 2 agent weights"),
+            # number map reader
+            (minimal_continuous, lambda d: d["retention"].update(A="x"),
+             "$.retention.A: expected a number"),
+            (minimal_discrete, lambda d: d["pieces"][1]["bonus"].update(B=True),
+             "$.pieces[1].bonus.B: expected a number"),
+            (minimal_discrete, lambda d: d.update(aggregation={"weights": []}),
+             "$.aggregation.weights: expected an object"),
+            (minimal_discrete,
+             lambda d: d.update(aggregation={"weights": {"greater_good": "x"}}),
+             "$.aggregation.weights.greater_good: expected a number"),
+            (minimal_discrete,
+             lambda d: d.update(aggregation={"weights": {"greater_good": -1}}),
+             "$.aggregation.weights.greater_good: weight must be >= 0"),
+        ],
+    )
+    def test_full_message(self, make, mutate, message):
+        doc = make()
+        mutate(doc)
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert str(err.value) == message
+
+    def test_empty_agents(self):
+        doc = minimal_discrete()
+        doc["agents"] = []
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert str(err.value) == "$.agents: a problem needs at least one agent"
+
+    def test_rho_inf_string(self):
+        doc = minimal_continuous()
+        _greater_good(rho="inf")(doc)
+        assert parse_config(doc).specs[0].rho == math.inf
+
+    def test_null_variant_and_basis_are_accepted(self):
+        doc = minimal_discrete()
+        doc["principles"][0].update(variant=None, basis=None)
+        spec = parse_config(doc).specs[0]
+        assert spec.variant is None and spec.basis is None
+
+
 class TestLoadConfig:
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "problem.json"
@@ -147,6 +283,13 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "nope.json")
+
+    def test_integer_past_digit_limit_is_invalid_json(self, tmp_path):
+        path = tmp_path / "long.json"
+        doc = json.dumps(minimal_continuous()).replace("4.0", "1" * 5000)
+        path.write_text(doc, encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: invalid JSON: "):
+            load_config(path)
 
     def test_invalid_json_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -34,12 +34,9 @@ class TestValueVector:
 
 class TestAgent:
     def test_defaults_and_validation(self):
-        a = Agent(id="A", input=0.9)
-        assert a.weight == 1.0
+        Agent(id="A", input=0.9)
         with pytest.raises(ValueError):
             Agent(id="A", input=-1.0)
-        with pytest.raises(ValueError):
-            Agent(id="A", input=1.0, weight=0.0)
 
 
 class TestAllocationContext:
