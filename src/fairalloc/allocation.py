@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .core import Agent, AllocationContext, ValueVector
@@ -49,6 +50,7 @@ class Piece:
     bonus: Mapping[str, float]
 
     def __post_init__(self):
+        object.__setattr__(self, "bonus", MappingProxyType(dict(self.bonus)))
         if not math.isfinite(self.amount) or self.amount < 0.0:
             raise ValueError("piece amount must be finite and >= 0")
         for agent_id, b in self.bonus.items():
@@ -103,12 +105,12 @@ class ContinuousProblem:
     total: float
     retention: Mapping[str, float]
     inputs: ValueVector = field(init=False, compare=False, repr=False)
-    # Retention in agent order, copied once validated, so later changes to
-    # the caller's mapping cannot reach scoring.
+    # Retention in agent order, for the per-evaluation scoring path.
     _factors: tuple[float, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "agents", _checked_agents(self.agents))
+        object.__setattr__(self, "retention", MappingProxyType(dict(self.retention)))
         if not math.isfinite(self.total) or self.total <= 0.0:
             raise ValueError("total must be finite and > 0")
         for agent in self.agents:
@@ -127,16 +129,15 @@ class ContinuousProblem:
         return self._factors
 
 
-def enumerate_discrete(
-    problem: DiscreteProblem, cap: int = ENUMERATION_CAP
-) -> list[DiscreteAllocation]:
+def enumerate_discrete(problem: DiscreteProblem) -> list[DiscreteAllocation]:
     """All complete assignments in lexicographic order of assignment vectors."""
     n_agents = len(problem.agents)
     n_pieces = len(problem.pieces)
     count = n_agents**n_pieces
-    if count > cap:
+    if count > ENUMERATION_CAP:
         raise CombinatorialBlowupError(
-            f"{n_agents}^{n_pieces} = {count} allocations exceed the cap of {cap}"
+            f"{n_agents}^{n_pieces} = {count} allocations exceed the cap of "
+            f"{ENUMERATION_CAP}"
         )
     return [
         DiscreteAllocation(assignment)
@@ -336,11 +337,9 @@ class RankingTable:
     candidates: tuple[str, ...]
     contexts: tuple[AllocationContext, ...]
     principles: tuple[str, ...]
-    specs: tuple[PrincipleSpec, ...]
     directions: tuple[str, ...]
     scores: tuple[tuple[float, ...], ...]  # [principle][candidate]
     ranks: tuple[tuple[int, ...], ...]
-    weights: tuple[float, ...]
     borda: tuple[float, ...]
     combined: tuple[int, ...]
 
@@ -376,11 +375,9 @@ def build_ranking(
         candidates=tuple(candidates),
         contexts=tuple(contexts),
         principles=tuple(principle_labels),
-        specs=tuple(specs),
         directions=tuple(directions),
         scores=tuple(scores),
         ranks=tuple(ranks),
-        weights=tuple(weights),
         borda=tuple(borda),
         combined=tuple(combined),
     )

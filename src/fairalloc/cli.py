@@ -6,6 +6,8 @@ Subcommands:
   heatmap   sample one principle's score over the allocation square as CSV
 
 Exit codes: 0 success, 2 input/config error, 3 domain error while scoring.
+Commands raise typed errors; ``main`` is the one place that reports a
+failure and picks its exit code.
 """
 
 from __future__ import annotations
@@ -38,6 +40,19 @@ def _fmt_vector(v) -> str:
     return "[" + ", ".join(_fmt(x) for x in v) + "]"
 
 
+def _source_parser(sub, name: str, help_text: str, func) -> argparse.ArgumentParser:
+    # The problem source and --out, shared by evaluate and heatmap.
+    p = sub.add_parser(name, help=help_text)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="path to a JSON problem config")
+    source.add_argument(
+        "--preset", choices=preset_names(), help="built-in example problem"
+    )
+    p.add_argument("--out", help="write CSV output to this path")
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fairalloc",
@@ -61,35 +76,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_metrics.set_defaults(func=cmd_metrics)
 
-    for name, func in (("evaluate", cmd_evaluate), ("heatmap", cmd_heatmap)):
-        p = sub.add_parser(
-            name,
-            help="rank a problem's candidate allocations"
-            if name == "evaluate"
-            else "sample a principle score over the allocation square",
-        )
-        source = p.add_mutually_exclusive_group(required=True)
-        source.add_argument("--config", help="path to a JSON problem config")
-        source.add_argument(
-            "--preset", choices=preset_names(), help="built-in example problem"
-        )
-        p.add_argument("--out", help="write CSV output to this path")
-        if name == "evaluate":
-            p.add_argument(
-                "--resolution",
-                type=int,
-                default=DEFAULT_RESOLUTION,
-                help="frontier grid points for continuous problems "
-                f"(default {DEFAULT_RESOLUTION})",
-            )
-        else:
-            p.add_argument(
-                "--principle", required=True, help="principle label from the config"
-            )
-            p.add_argument(
-                "--grid", type=int, default=100, help="cells per axis (default 100)"
-            )
-        p.set_defaults(func=func)
+    p_evaluate = _source_parser(
+        sub, "evaluate", "rank a problem's candidate allocations", cmd_evaluate
+    )
+    p_evaluate.add_argument(
+        "--resolution",
+        type=int,
+        default=DEFAULT_RESOLUTION,
+        help="frontier grid points for continuous problems "
+        f"(default {DEFAULT_RESOLUTION})",
+    )
+
+    p_heatmap = _source_parser(
+        sub,
+        "heatmap",
+        "sample a principle score over the allocation square",
+        cmd_heatmap,
+    )
+    p_heatmap.add_argument(
+        "--principle", required=True, help="principle label from the config"
+    )
+    p_heatmap.add_argument(
+        "--grid", type=int, default=100, help="cells per axis (default 100)"
+    )
 
     return parser
 
@@ -100,33 +109,33 @@ def _load(args) -> ProblemConfig:
     return load_config(args.config)
 
 
-def cmd_metrics(args) -> int:
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err}") from None
+
+
+def cmd_metrics(args) -> None:
     try:
         values = [float(x) for x in args.values.split(",") if x.strip() != ""]
     except ValueError:
-        print(f"error: cannot parse --values {args.values!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"cannot parse --values {args.values!r}") from None
     names = [name for chunk in args.metric for name in chunk.split(",") if name]
     if not names:
-        print("error: no metric given", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("no metric given")
     try:
         vector = ValueVector(values)
         metrics = [DispersionMetric.parse(name) for name in names]
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    rows = []
-    for metric in metrics:
-        try:
-            rows.append((str(metric), dispersion(metric, vector)))
-        except DomainError as err:
-            print(f"error: {err.name}: {err}", file=sys.stderr)
-            return EXIT_CONFIG
+        raise ConfigError(str(err)) from None
+    try:
+        rows = [(str(metric), dispersion(metric, vector)) for metric in metrics]
+    except DomainError as err:  # a literal value list is input, not a candidate
+        raise ConfigError(f"{err.name}: {err}") from None
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         print(f"{name:<{width}}  {_fmt(value)}")
-    return EXIT_OK
 
 
 def _evaluate_csv(table: RankingTable) -> str:
@@ -173,43 +182,19 @@ def _print_table(table: RankingTable) -> None:
         )
 
 
-def cmd_evaluate(args) -> int:
-    try:
-        cfg = _load(args)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_evaluate(args) -> None:
+    cfg = _load(args)
     if args.resolution < 2:
-        print("error: --resolution must be >= 2", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        if cfg.kind == "discrete":
-            table = discrete_ranking(
-                cfg.problem,
-                cfg.principle_labels,
-                cfg.specs,
-                cfg.weights,
-                labels=cfg.candidate_labels,
-            )
-        else:
-            table = continuous_ranking(
-                cfg.problem,
-                cfg.principle_labels,
-                cfg.specs,
-                cfg.weights,
-                resolution=args.resolution,
-            )
-    except ScoringError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except DomainError as err:
-        print(f"error: {err.name}: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise ConfigError("--resolution must be >= 2")
+    ranking_args = (cfg.problem, cfg.principle_labels, cfg.specs, cfg.weights)
+    if cfg.kind == "discrete":
+        table = discrete_ranking(*ranking_args, labels=cfg.candidate_labels)
+    else:
+        table = continuous_ranking(*ranking_args, resolution=args.resolution)
     _print_table(table)
     if args.out:
-        Path(args.out).write_text(_evaluate_csv(table), encoding="utf-8", newline="\n")
+        _write(args.out, _evaluate_csv(table))
         print(f"\nwrote {args.out}")
-    return EXIT_OK
 
 
 def _heatmap_csv(cells) -> str:
@@ -222,37 +207,23 @@ def _heatmap_csv(cells) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_heatmap(args) -> int:
-    try:
-        cfg = _load(args)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_heatmap(args) -> None:
+    cfg = _load(args)
     if cfg.kind != "continuous":
-        print("error: heatmaps require a continuous problem", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("heatmaps require a continuous problem")
     if args.grid < 1:
-        print("error: --grid must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("--grid must be >= 1")
     if args.principle not in cfg.principle_labels:
-        print(
-            f"error: principle {args.principle!r} not in config "
-            f"(have: {', '.join(cfg.principle_labels)})",
-            file=sys.stderr,
+        raise ConfigError(
+            f"principle {args.principle!r} not in config "
+            f"(have: {', '.join(cfg.principle_labels)})"
         )
-        return EXIT_CONFIG
     spec = cfg.specs[cfg.principle_labels.index(args.principle)]
-    try:
-        cells = heatmap(cfg.problem, spec, args.grid)
-    except DomainError as err:
-        print(f"error: {err.name}: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
-    text = _heatmap_csv(cells)
+    text = _heatmap_csv(heatmap(cfg.problem, spec, args.grid))
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8", newline="\n")
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
-    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -261,7 +232,18 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        args.func(args)
+    except ConfigError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ScoringError as err:  # its message already names the error
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except DomainError as err:
+        print(f"error: {err.name}: {err}", file=sys.stderr)
+        return EXIT_DOMAIN
+    return EXIT_OK
 
 
 def entry() -> None:  # console-script entry point

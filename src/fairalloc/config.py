@@ -254,13 +254,11 @@ def parse_config(data: Any) -> ProblemConfig:
 def load_config(path: str | Path) -> ProblemConfig:
     """Read and parse a JSON configuration file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as err:
         raise ConfigError(f"cannot read {path}: {err}") from None
-    try:
-        data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: invalid JSON: {err.msg}") from None
-    except ValueError as err:  # e.g. an integer past Python's int-conversion digit limit
+    except (ValueError, RecursionError) as err:  # not UTF-8, past the digit limit, too deep
         raise ConfigError(f"{path}: invalid JSON: {err}") from None
     return parse_config(data)

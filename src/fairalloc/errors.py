@@ -83,4 +83,7 @@ class ScoringError(DomainError):
 
 
 class ConfigError(Exception):
-    """Invalid problem configuration; message carries the offending path."""
+    """Invalid outside input: a config document or file, or a command-line value.
+
+    The message names what is wrong, e.g. the offending path in a document.
+    """

@@ -67,7 +67,7 @@ class TestEnumeration:
 
     def test_cap(self):
         with pytest.raises(CombinatorialBlowupError):
-            enumerate_discrete(simple_discrete(2, 4), cap=15)
+            enumerate_discrete(simple_discrete(2, 20))  # 2^20 > ENUMERATION_CAP
 
     @given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=4))
     def test_completeness(self, n_agents, n_pieces):
@@ -145,12 +145,28 @@ class TestProblemValidation:
         spec = PrincipleSpec("greater_good", mode=DIORTHOTIC)
         before = optimize_frontier(problem, spec, 11)
         retention["a"] = 5.0
+        assert problem.retention == {"a": 0.5, "b": 1.0}
         assert problem.retention_factors() == (0.5, 1.0)
+        with pytest.raises(TypeError):
+            problem.retention["a"] = 0.25
         assert optimize_frontier(problem, spec, 11) == before
         ctx = frontier_context(problem, ValueVector([4.0, 0.0]))
         assert ctx.utilities == ValueVector([2.0, 0.0])
         cell = heatmap(problem, spec, 1)[2]
         assert (cell.y_a, cell.y_b, cell.score) == (4.0, 0.0, 2.0)
+
+    def test_scoring_ignores_later_bonus_changes(self):
+        agents = (Agent(id="a", input=1.0), Agent(id="b", input=1.0))
+        bonus = {"a": 1.0}
+        problem = DiscreteProblem(agents=agents, pieces=(Piece(amount=1.0, bonus=bonus),))
+        allocation = DiscreteAllocation((0,))
+        before = evaluate_discrete(problem, allocation)
+        bonus["a"] = -5.0
+        assert evaluate_discrete(problem, allocation) == before
+        assert before.utilities == ValueVector([2.0, 0.0])
+        assert problem.pieces[0] == Piece(amount=1.0, bonus={"a": 1.0})
+        with pytest.raises(TypeError):
+            problem.pieces[0].bonus["a"] = 3.0
 
 
 class TestFrontierContext:

@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fairalloc
 import oracles
 from fairalloc.allocation import aggregate_ranks
 from fairalloc.cli import main
@@ -150,6 +154,15 @@ class TestEvaluate:
         code, _, err = run(capsys, "evaluate", "--preset", "fishermen", "--resolution", "1")
         assert code == 2
 
+    def test_unwritable_out_exits_2_after_the_table(self, capsys, tmp_path):
+        path = tmp_path / "missing-dir" / "x.csv"
+        _, table, _ = run(capsys, "evaluate", "--preset", "cake")
+        code, out, err = run(capsys, "evaluate", "--preset", "cake", "--out", str(path))
+        assert code == 2
+        assert out == table
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1
+
 
 class TestHeatmap:
     def test_discrete_config_rejected(self, capsys, tmp_path):
@@ -164,6 +177,17 @@ class TestHeatmap:
             capsys, "heatmap", "--preset", "fishermen", "--principle", "nope"
         )
         assert code == 2
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing-dir" / "x.csv"
+        code, out, err = run(
+            capsys, "heatmap", "--preset", "fishermen",
+            "--principle", "equality", "--grid", "2", "--out", str(path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1
 
     def test_grid_one_has_four_rows(self, capsys, tmp_path):
         out_path = tmp_path / "h.csv"
@@ -247,3 +271,124 @@ class TestGoldenOutput:
         assert code == 0
         assert out == f"{stdout}\nwrote {path}\n"
         assert path.read_bytes() == (GOLDEN / f"{preset}.csv").read_bytes()
+
+
+def _three_agent_fishermen():
+    doc = get_preset("fishermen")
+    doc["agents"].append({"id": "C", "input": 1.0})
+    doc["retention"]["C"] = 1.0
+    return doc
+
+
+# Config files the error-contract cases read, written under {tmp}.
+CONTRACT_FILES = {
+    "empty-object.json": "{}",
+    "empty.json": "",
+    "cake.json": json.dumps(get_preset("cake")),
+    "three-agents.json": json.dumps(_three_agent_fishermen()),
+    "zero-input.json": json.dumps({
+        "kind": "discrete",
+        "agents": [{"id": "A", "input": 0.0}, {"id": "B", "input": 1.0}],
+        "pieces": [{"amount": 1.0}],
+        "principles": [{"principle": "proportion", "metric": "std_dev"}],
+    }),
+    "blowup.json": json.dumps({
+        "kind": "discrete",
+        "agents": [{"id": "A", "input": 1.0}, {"id": "B", "input": 1.0}],
+        "pieces": [{"amount": 0.05} for _ in range(20)],
+        "principles": [{"principle": "greater_good"}],
+    }),
+}
+
+HEATMAP = ["heatmap", "--preset", "fishermen", "--principle"]
+
+# (id, argv, exit code, full stderr); "{tmp}" stands for the files' directory.
+ERROR_CONTRACT = [
+    ("metrics-unparseable", ["metrics", "--values", "1,banana", "--metric", "gini"], 2,
+     "error: cannot parse --values '1,banana'"),
+    ("metrics-negative", ["metrics", "--values=-1,1", "--metric", "gini"], 2,
+     "error: ValueVector element -1.0 is negative"),
+    ("metrics-empty-values", ["metrics", "--values", "", "--metric", "gini"], 2,
+     "error: ValueVector needs at least one element"),
+    ("metrics-unknown", ["metrics", "--values", "1,2", "--metric", "nope"], 2,
+     "error: unknown dispersion metric 'nope'"),
+    ("metrics-bad-atkinson", ["metrics", "--values", "1,2", "--metric", "atkinson(x)"], 2,
+     "error: invalid atkinson parameter in 'atkinson(x)'"),
+    ("metrics-no-metric", ["metrics", "--values", "1,2", "--metric", ","], 2,
+     "error: no metric given"),
+    ("metrics-theil-l-zero", ["metrics", "--values", "0,1", "--metric", "theil_l"], 2,
+     "error: ZeroElement: Theil L diverges on zero elements"),
+    ("metrics-gini-zero-sum", ["metrics", "--values", "0,0", "--metric", "gini"], 2,
+     "error: ZeroSum: gini undefined for an all-zero vector"),
+    ("evaluate-resolution-cake", ["evaluate", "--preset", "cake", "--resolution", "1"], 2,
+     "error: --resolution must be >= 2"),
+    ("evaluate-resolution-fishermen",
+     ["evaluate", "--preset", "fishermen", "--resolution", "1"], 2,
+     "error: --resolution must be >= 2"),
+    ("evaluate-empty-object", ["evaluate", "--config", "{tmp}/empty-object.json"], 2,
+     "error: $: missing required key 'kind'"),
+    ("evaluate-empty-file", ["evaluate", "--config", "{tmp}/empty.json"], 2,
+     "error: {tmp}/empty.json:1:1: invalid JSON: Expecting value"),
+    ("evaluate-missing-file", ["evaluate", "--config", "{tmp}/nope.json"], 2,
+     "error: cannot read {tmp}/nope.json: "
+     "[Errno 2] No such file or directory: '{tmp}/nope.json'"),
+    ("evaluate-directory", ["evaluate", "--config", "{tmp}"], 2,
+     "error: cannot read {tmp}: [Errno 21] Is a directory: '{tmp}'"),
+    ("evaluate-scoring-error", ["evaluate", "--config", "{tmp}/zero-input.json"], 3,
+     "error: principle 'proportion' on candidate 'scenario 1': "
+     "ZeroInput: ratio undefined for zero-input individuals"),
+    ("evaluate-three-agents", ["evaluate", "--config", "{tmp}/three-agents.json"], 3,
+     "error: principle 'difference' on candidate 'frontier': "
+     "UnsupportedPopulation: frontier optimization supports exactly two agents"),
+    ("evaluate-blowup", ["evaluate", "--config", "{tmp}/blowup.json"], 3,
+     "error: CombinatorialBlowup: 2^20 = 1048576 allocations exceed the cap of 1000000"),
+    ("heatmap-discrete",
+     ["heatmap", "--config", "{tmp}/cake.json", "--principle", "equality"], 2,
+     "error: heatmaps require a continuous problem"),
+    ("heatmap-unknown-principle", [*HEATMAP, "nope"], 2,
+     "error: principle 'nope' not in config (have: difference, equality, "
+     "equality_of_opportunity, greater_good, proportion, sufficiency)"),
+    ("heatmap-grid-zero", [*HEATMAP, "equality", "--grid", "0"], 2,
+     "error: --grid must be >= 1"),
+    ("heatmap-three-agents",
+     ["heatmap", "--config", "{tmp}/three-agents.json", "--principle", "equality"], 3,
+     "error: UnsupportedPopulation: heatmaps support exactly two agents"),
+    ("heatmap-config-error",
+     ["heatmap", "--config", "{tmp}/empty-object.json", "--principle", "equality"], 2,
+     "error: $: missing required key 'kind'"),
+]
+
+
+class TestErrorContract:
+    """Every CLI error path: exact stderr, exit code, and nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [pytest.param(argv, code, err, id=name) for name, argv, code, err in ERROR_CONTRACT],
+    )
+    def test_error_path(self, capsys, tmp_path, argv, code, err):
+        for name, text in CONTRACT_FILES.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        expected = err.replace("{tmp}", str(tmp_path)) + "\n"
+        assert run(capsys, *argv) == (code, "", expected)
+
+
+class TestEntryPoint:
+    def test_deep_config_reports_one_error_line(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        src = str(Path(fairalloc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fairalloc", "evaluate", "--config", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {path}: invalid JSON: maximum recursion depth")

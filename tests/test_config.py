@@ -291,6 +291,20 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: invalid JSON: "):
             load_config(path)
 
+    def test_too_deep_nesting_is_invalid_json(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        prefix = re.escape(f"{path}: invalid JSON: maximum recursion depth exceeded")
+        with pytest.raises(ConfigError, match=f"^{prefix}"):
+            load_config(path)
+
+    def test_non_utf8_bytes_are_invalid_json(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        prefix = re.escape(f"{path}: invalid JSON: 'utf-8' codec can't decode")
+        with pytest.raises(ConfigError, match=f"^{prefix}"):
+            load_config(path)
+
     def test_invalid_json_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{\n  oops\n}", encoding="utf-8")
