@@ -83,6 +83,12 @@ class DiscreteProblem:
         total = math.fsum(p.amount for p in self.pieces)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"piece amounts must sum to 1, got {total!r}")
+        for agent in self.agents:
+            most = 0.0  # the agent's utility with every piece, summed as evaluate_discrete does
+            for piece in self.pieces:
+                most += piece.amount + piece.bonus.get(agent.id, 0.0)
+            if not math.isfinite(most):
+                raise ValueError(f"utility of agent {agent.id!r} with every piece is not finite")
         object.__setattr__(self, "inputs", ValueVector(a.input for a in self.agents))
 
 

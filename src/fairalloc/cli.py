@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from pathlib import Path
 
@@ -127,12 +128,16 @@ def cmd_metrics(args) -> None:
     try:
         vector = ValueVector(values)
         metrics = [DispersionMetric.parse(name) for name in names]
+        rows = [(str(metric), dispersion(metric, vector)) for metric in metrics]
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    try:
-        rows = [(str(metric), dispersion(metric, vector)) for metric in metrics]
+    except OverflowError:
+        raise ConfigError("NonFiniteScore: arithmetic overflow") from None
     except DomainError as err:  # a literal value list is input, not a candidate
         raise ConfigError(f"{err.name}: {err}") from None
+    for _, value in rows:
+        if not math.isfinite(value):
+            raise ConfigError(f"NonFiniteScore: non-finite value {value!r}")
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         print(f"{name:<{width}}  {_fmt(value)}")

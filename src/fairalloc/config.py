@@ -219,6 +219,8 @@ def _aggregation_weights(
     for label, weight in zip(principle_labels, weights):
         if weight < 0:
             raise _fail(f"$.aggregation.weights.{label}", "weight must be >= 0")
+    if not any(w > 0 for w in weights):
+        raise _fail("$.aggregation.weights", "at least one weight must be positive")
     return weights
 
 

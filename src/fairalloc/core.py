@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import ZeroInputError
+from .errors import NonFiniteScoreError, ZeroInputError
 
 
 class ValueVector:
@@ -113,10 +113,14 @@ def ratio_vector(y: ValueVector, x: ValueVector) -> ValueVector:
     """Element-wise y_i / x_i, the per-individual output/input ratio.
 
     Raises :class:`ZeroInputError` if any x_i is zero: the proportion of an
-    output to a zero contribution is undefined.
+    output to a zero contribution is undefined. A ratio past the float range
+    raises :class:`NonFiniteScoreError`.
     """
     if len(y) != len(x):
         raise ValueError("ratio_vector needs vectors of identical length")
     if any(xi == 0.0 for xi in x.values):
         raise ZeroInputError("ratio undefined for zero-input individuals")
-    return ValueVector(yi / xi for yi, xi in zip(y.values, x.values))
+    try:
+        return ValueVector(yi / xi for yi, xi in zip(y.values, x.values))
+    except ValueError:  # nonnegative and nonempty, so only an infinite ratio fails
+        raise NonFiniteScoreError("output/input ratio overflows the float range") from None

@@ -175,13 +175,11 @@ def std_dev(v: ValueVector) -> float:
 
 
 def theil_t(v: ValueVector) -> float:
-    """Theil T index: (1/n) * sum (x/mean) ln(x/mean); 0 ln 0 taken as 0."""
+    """Theil T index: (1/n) * sum (x/mean) ln(x/mean); 0 ln 0, also of an underflow, is 0."""
     m = mean(v)
     if m == 0.0:
         raise ZeroMeanError("Theil T undefined for a zero-mean vector")
-    acc = math.fsum(
-        (x / m) * math.log(x / m) for x in v.values if x > 0.0
-    )
+    acc = math.fsum(r * math.log(r) for r in (x / m for x in v.values) if r > 0.0)
     return max(0.0, acc / len(v))
 
 

@@ -58,7 +58,7 @@ class CombinatorialBlowupError(DomainError):
 
 
 class NonFiniteScoreError(DomainError):
-    """A NaN or infinite score cannot be ranked."""
+    """A score or ratio is not a finite float: it overflowed, or is NaN or infinite."""
 
 
 class AllZeroWeightsError(DomainError):

@@ -13,25 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .core import AllocationContext, ValueVector, mean, min_value, ratio_vector, threshold_share
+from .core import AllocationContext, ValueVector, mean, ratio_vector, threshold_share
 from .dispersion import STD_DEV, DispersionMetric, dispersion
+from .errors import NonFiniteScoreError
 from .welfare import benthamite, foster, isoelastic, rawlsian, sen
-
-DIFFERENCE = "difference"
-EQUALITY = "equality"
-EQUALITY_OF_OPPORTUNITY = "equality_of_opportunity"
-GREATER_GOOD = "greater_good"
-PROPORTION = "proportion"
-SUFFICIENCY = "sufficiency"
-
-PRINCIPLES = (
-    DIFFERENCE,
-    EQUALITY,
-    EQUALITY_OF_OPPORTUNITY,
-    GREATER_GOOD,
-    PROPORTION,
-    SUFFICIENCY,
-)
 
 DIANEMETIC = "dianemetic"
 DIORTHOTIC = "diorthotic"
@@ -39,27 +24,14 @@ DIORTHOTIC = "diorthotic"
 MAXIMIZE = "maximize"
 MINIMIZE = "minimize"
 
+BASIS_INPUT = "input"
 BASIS_OUTPUT = "output"
 BASIS_UTILITY = "utility"
-
-_DEFAULT_BASIS = {
-    DIFFERENCE: BASIS_OUTPUT,
-    EQUALITY: BASIS_OUTPUT,
-    GREATER_GOOD: BASIS_UTILITY,
-    PROPORTION: BASIS_OUTPUT,
-    SUFFICIENCY: BASIS_OUTPUT,
-}
-
-_VARIANTS = {
-    DIFFERENCE: ("rawlsian", "harsanyian"),
-    EQUALITY: ("foster", "sen"),
-    PROPORTION: ("dispersion", "noop"),
-}
 
 
 @dataclass(frozen=True)
 class PrincipleSpec:
-    """One guiding principle plus the parameters needed to score it."""
+    """One guiding principle plus the parameters its ``_SCORING`` row reads."""
 
     principle: str
     mode: str = DIANEMETIC
@@ -76,43 +48,43 @@ class PrincipleSpec:
             raise ValueError(f"unknown principle {p!r}")
         if self.mode not in (DIANEMETIC, DIORTHOTIC):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.variant is not None and self.variant not in _VARIANTS.get(p, ()):
+        row = _SCORING[p, self.mode]
+        other = _SCORING[p, DIORTHOTIC if self.mode == DIANEMETIC else DIANEMETIC]
+        if self.variant is not None and self.variant not in row.variants + other.variants:
             raise ValueError(f"principle {p!r} has no variant {self.variant!r}")
-        if self.basis is not None:
-            if p == EQUALITY_OF_OPPORTUNITY:
-                raise ValueError("equality_of_opportunity is always input-based")
-            if self.basis not in (BASIS_OUTPUT, BASIS_UTILITY):
-                raise ValueError(f"unknown basis {self.basis!r}")
-        if (self.threshold is not None) != (p == SUFFICIENCY):
+        if self.basis is not None and row.basis == BASIS_INPUT:
+            raise ValueError(f"{p} is always input-based")
+        if self.basis not in (None, BASIS_OUTPUT, BASIS_UTILITY):
+            raise ValueError(f"unknown basis {self.basis!r}")
+        if (self.threshold is not None) != row.threshold:
             raise ValueError("threshold is required for sufficiency and only there")
         if self.threshold is not None and not math.isfinite(self.threshold):
             raise ValueError("threshold must be finite")
-        # The principles that minimize in dianemetic mode are exactly those
-        # that score a dispersion metric.
-        if self.metric is not None and _SCORING[p, DIANEMETIC].direction != MINIMIZE:
+        if self.metric is not None and not (row.metric or other.metric):
             raise ValueError(f"principle {p!r} takes no dispersion metric")
-        if self.rho is not None or self.weights is not None:
-            if not (p == GREATER_GOOD and self.mode == DIORTHOTIC):
-                raise ValueError(
-                    "rho/weights apply to the diorthotic greater-good principle only"
-                )
+        if (self.rho is not None or self.weights is not None) and not row.welfare:
+            raise ValueError("rho/weights apply to the diorthotic greater-good principle only")
         if self.rho is not None and (math.isnan(self.rho) or self.rho < 0.0):
             raise ValueError("rho must be >= 0")
         if self.weights is not None and any(
             not math.isfinite(w) or w <= 0.0 for w in self.weights
         ):
             raise ValueError("weights must be finite and > 0")
+        # A parameter only the principle's other mode reads is checked last, so a
+        # spec that an earlier rule refuses keeps that rule's message.
+        if self.variant is not None and self.variant not in row.variants:
+            raise ValueError(f"principle {p!r} has no variant {self.variant!r} in {self.mode} mode")
+        if self.metric is not None and not row.metric:
+            raise ValueError(f"principle {p!r} takes no dispersion metric in {self.mode} mode")
 
     def resolved_basis(self) -> str:
-        if self.principle == EQUALITY_OF_OPPORTUNITY:
-            return "input"
-        return self.basis or _DEFAULT_BASIS[self.principle]
+        return self.basis or _SCORING[self.principle, self.mode].basis
 
     def resolved_metric(self) -> DispersionMetric:
         return self.metric or STD_DEV
 
     def resolved_variant(self) -> str | None:
-        return self.variant or _VARIANTS.get(self.principle, (None,))[0]
+        return self.variant or _SCORING[self.principle, self.mode].variants[0]
 
 
 @dataclass(frozen=True)
@@ -130,26 +102,40 @@ def direction(spec: PrincipleSpec) -> str:
 
 
 def score(spec: PrincipleSpec, ctx: AllocationContext) -> PrincipleScore:
-    """Score one allocation context under one principle spec."""
+    """Score one allocation context under one principle spec.
+
+    An arithmetic overflow or a NaN or infinite value raises NonFiniteScoreError.
+    """
     scoring = _SCORING[spec.principle, spec.mode]
-    basis = ctx.utilities if spec.resolved_basis() == BASIS_UTILITY else ctx.outputs
-    return PrincipleScore(spec, scoring.value(spec, basis, ctx.inputs), scoring.direction)
+    b = spec.basis or scoring.basis
+    v = ctx.outputs if b == BASIS_OUTPUT else ctx.utilities if b == BASIS_UTILITY else ctx.inputs
+    try:
+        value = scoring.value(spec, v, ctx.inputs)
+    except OverflowError:
+        raise NonFiniteScoreError("arithmetic overflow") from None
+    if not math.isfinite(value):
+        raise NonFiniteScoreError(f"non-finite score {value!r}")
+    return PrincipleScore(spec, value, scoring.direction)
 
 
 def _negated(value: float) -> float:
     return 0.0 if value == 0.0 else -value
 
 
+def _dispersion(spec: PrincipleSpec, v: ValueVector, x: ValueVector) -> float:
+    return dispersion(spec.resolved_metric(), v)
+
+
+def _proportion(spec: PrincipleSpec, v: ValueVector, x: ValueVector) -> float:
+    return dispersion(spec.resolved_metric(), ratio_vector(v, x))
+
+
 def _difference(spec: PrincipleSpec, v: ValueVector, x: ValueVector) -> float:
-    return mean(v) if spec.resolved_variant() == "harsanyian" else min_value(v)
-
-
-def _maximin_welfare(spec: PrincipleSpec, v: ValueVector, x: ValueVector) -> float:
-    return mean(v) if spec.resolved_variant() == "harsanyian" else rawlsian(v)
+    return mean(v) if spec.variant == "harsanyian" else rawlsian(v)
 
 
 def _capability_welfare(spec: PrincipleSpec, v: ValueVector, x: ValueVector) -> float:
-    return sen(v) if spec.resolved_variant() == "sen" else foster(v)
+    return sen(v) if spec.variant == "sen" else foster(v)
 
 
 def _utility_welfare(spec: PrincipleSpec, v: ValueVector, x: ValueVector) -> float:
@@ -159,10 +145,10 @@ def _utility_welfare(spec: PrincipleSpec, v: ValueVector, x: ValueVector) -> flo
 
 
 def _proportion_welfare(spec: PrincipleSpec, v: ValueVector, x: ValueVector) -> float:
-    if spec.resolved_variant() == "noop":
+    if spec.variant == "noop":
         # Free-transaction stance: every allocation is equally fair.
         return 0.0
-    return _negated(dispersion(spec.resolved_metric(), ratio_vector(v, x)))
+    return _negated(_proportion(spec, v, x))
 
 
 def _sufficiency(spec: PrincipleSpec, v: ValueVector, x: ValueVector) -> float:
@@ -173,32 +159,43 @@ class _Scoring(NamedTuple):
     direction: str
     # (spec, basis vector, inputs) -> score
     value: Callable[[PrincipleSpec, ValueVector, ValueVector], float]
+    basis: str = BASIS_OUTPUT  # the default basis; BASIS_INPUT is fixed
+    # The variants read, default first, or (None,) for none; since an unset
+    # variant means the default, a value function tests for the others only.
+    variants: tuple[str | None, ...] = (None,)
+    # Whether the value reads a metric, a threshold, and rho and weights.
+    metric: bool = False
+    threshold: bool = False
+    welfare: bool = False
 
 
-# The one mapping of (principle, mode) to a score. Entries reach the
-# dispersion and welfare functions through this module's globals at call
-# time, never through references captured here, so that patching a module
-# attribute (as instrumentation does) reaches every score.
+_DIFFERENCE = _Scoring(MAXIMIZE, _difference, variants=("rawlsian", "harsanyian"))
+_GREATER_GOOD = _Scoring(MAXIMIZE, _utility_welfare, BASIS_UTILITY)
+_SUFFICIENCY = _Scoring(MAXIMIZE, _sufficiency, threshold=True)
+
+# The one mapping of (principle, mode) to a score and the spec parameters it
+# reads; its keys name the principles. Entries reach the dispersion and
+# welfare functions through this module's globals at call time, never through
+# references captured here, so that patching a module attribute (as
+# instrumentation does) reaches every score.
 _SCORING = {
-    (DIFFERENCE, DIANEMETIC): _Scoring(MAXIMIZE, _difference),
-    (DIFFERENCE, DIORTHOTIC): _Scoring(MAXIMIZE, _maximin_welfare),
-    (EQUALITY, DIANEMETIC): _Scoring(
-        MINIMIZE, lambda spec, v, x: dispersion(spec.resolved_metric(), v)
+    ("difference", DIANEMETIC): _DIFFERENCE,
+    ("difference", DIORTHOTIC): _DIFFERENCE,
+    ("equality", DIANEMETIC): _Scoring(MINIMIZE, _dispersion, metric=True),
+    ("equality", DIORTHOTIC): _Scoring(MAXIMIZE, _capability_welfare, variants=("foster", "sen")),
+    ("equality_of_opportunity", DIANEMETIC): _Scoring(
+        MINIMIZE, _dispersion, BASIS_INPUT, metric=True
     ),
-    (EQUALITY, DIORTHOTIC): _Scoring(MAXIMIZE, _capability_welfare),
-    (EQUALITY_OF_OPPORTUNITY, DIANEMETIC): _Scoring(
-        MINIMIZE, lambda spec, v, x: dispersion(spec.resolved_metric(), x)
+    ("equality_of_opportunity", DIORTHOTIC): _Scoring(
+        MAXIMIZE, lambda spec, v, x: _negated(_dispersion(spec, v, x)), BASIS_INPUT, metric=True
     ),
-    (EQUALITY_OF_OPPORTUNITY, DIORTHOTIC): _Scoring(
-        MAXIMIZE, lambda spec, v, x: _negated(dispersion(spec.resolved_metric(), x))
+    ("greater_good", DIANEMETIC): _GREATER_GOOD,
+    ("greater_good", DIORTHOTIC): _GREATER_GOOD._replace(welfare=True),
+    ("proportion", DIANEMETIC): _Scoring(MINIMIZE, _proportion, metric=True),
+    ("proportion", DIORTHOTIC): _Scoring(
+        MAXIMIZE, _proportion_welfare, variants=("dispersion", "noop"), metric=True
     ),
-    (GREATER_GOOD, DIANEMETIC): _Scoring(MAXIMIZE, lambda spec, v, x: math.fsum(v.values)),
-    (GREATER_GOOD, DIORTHOTIC): _Scoring(MAXIMIZE, _utility_welfare),
-    (PROPORTION, DIANEMETIC): _Scoring(
-        MINIMIZE,
-        lambda spec, v, x: dispersion(spec.resolved_metric(), ratio_vector(v, x)),
-    ),
-    (PROPORTION, DIORTHOTIC): _Scoring(MAXIMIZE, _proportion_welfare),
-    (SUFFICIENCY, DIANEMETIC): _Scoring(MAXIMIZE, _sufficiency),
-    (SUFFICIENCY, DIORTHOTIC): _Scoring(MAXIMIZE, _sufficiency),
+    ("sufficiency", DIANEMETIC): _SUFFICIENCY,
+    ("sufficiency", DIORTHOTIC): _SUFFICIENCY,
 }
+PRINCIPLES = tuple(dict.fromkeys(principle for principle, _ in _SCORING))

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .core import ValueVector, mean
 from .dispersion import gini, theil_t
-from .errors import WeightMismatchError, ZeroElementError
+from .errors import NonFiniteScoreError, WeightMismatchError, ZeroElementError
 
 RHO_INF = math.inf
 
@@ -53,7 +53,10 @@ def isoelastic(u: ValueVector, weights: Sequence[float] | None, rho: float) -> f
             f"isoelastic welfare with rho={rho:g} needs positive utilities"
         )
     if rho == 1.0:
-        return math.fsum(wi * math.log(xi) for wi, xi in zip(w, u.values))
+        try:
+            return math.fsum(wi * math.log(xi) for wi, xi in zip(w, u.values))
+        except ValueError:  # -inf + inf: weighted logs past the float range
+            raise NonFiniteScoreError("weighted log utilities overflow the float range") from None
     p = 1.0 - rho
     return math.fsum(wi * xi**p for wi, xi in zip(w, u.values)) / p
 

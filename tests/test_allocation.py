@@ -124,6 +124,13 @@ class TestProblemValidation:
                 pieces=(Piece(amount=1.0, bonus={"b": 0.1}),),
             )
 
+    def test_bonus_total_past_the_float_range(self):
+        agents = (Agent(id="a", input=1.0), Agent(id="b", input=1.0))
+        big = {"a": 1e308}
+        with pytest.raises(ValueError, match="utility of agent 'a' with every piece"):
+            DiscreteProblem(agents=agents, pieces=(Piece(0.5, big), Piece(0.5, big)))
+        DiscreteProblem(agents=agents, pieces=(Piece(0.5, big), Piece(0.5, {"b": 1e308})))
+
     def test_retention_range(self):
         agents = (Agent(id="a", input=1.0), Agent(id="b", input=1.0))
         with pytest.raises(ValueError):
@@ -397,3 +404,12 @@ class TestContinuousRanking:
             continuous_ranking(problem, ["proportion"], [spec], [1.0], 11)
         assert "proportion" in str(err.value)
         assert "ZeroInput" in str(err.value)
+
+    def test_overflow_aborts_the_principle_as_a_scoring_error(self):
+        agents = (Agent(id="a", input=1e-308), Agent(id="b", input=1.0))
+        problem = ContinuousProblem(agents=agents, total=2.0, retention={"a": 1.0, "b": 1.0})
+        spec = PrincipleSpec(principle="proportion", mode=DIORTHOTIC, metric=STD)
+        with pytest.raises(ScoringError) as err:
+            continuous_ranking(problem, ["proportion"], [spec], [1.0], 11)
+        assert (err.value.principle, err.value.candidate) == ("proportion", "frontier")
+        assert isinstance(err.value.cause, NonFiniteScoreError)

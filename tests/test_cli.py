@@ -225,6 +225,20 @@ class TestHeatmap:
         )
         assert residual <= 1e-9
 
+    def test_overflowing_scores_become_empty_fields(self, capsys, tmp_path):
+        # At rho = 200 a utility below about 0.028 overflows u ** (1 - rho).
+        path = tmp_path / "rho200.json"
+        path.write_text(json.dumps(_fishermen(greater_good={"rho": 200})), encoding="utf-8")
+        code, out, err = run(
+            capsys, "heatmap", "--config", str(path), "--principle", "greater_good",
+            "--grid", "300",
+        )
+        assert (code, err) == (0, "")
+        rows = out.splitlines()
+        assert len(rows) == 1 + 301 * 301
+        assert "0.0233333333333,7,,0" in rows  # u_A = 0.95 * 7 / 300 overflows
+        assert not any(row.startswith("0.0466666666667,7,,") for row in rows)
+
     def test_missing_scores_become_empty_fields(self, capsys):
         code, out, _ = run(
             capsys, "heatmap", "--preset", "fishermen",
@@ -273,6 +287,22 @@ class TestGoldenOutput:
         assert path.read_bytes() == (GOLDEN / f"{preset}.csv").read_bytes()
 
 
+def _fishermen(greater_good=None, input_a=None):
+    doc = get_preset("fishermen")
+    for spec in doc["principles"]:
+        if spec["principle"] == "greater_good":
+            spec.update(greater_good or {})
+    if input_a is not None:
+        doc["agents"][0]["input"] = input_a
+    return doc
+
+
+def _cake(**changes):
+    doc = get_preset("cake")
+    doc.update(changes)
+    return doc
+
+
 def _three_agent_fishermen():
     doc = get_preset("fishermen")
     doc["agents"].append({"id": "C", "input": 1.0})
@@ -292,6 +322,19 @@ CONTRACT_FILES = {
         "pieces": [{"amount": 1.0}],
         "principles": [{"principle": "proportion", "metric": "std_dev"}],
     }),
+    "huge-weights.json": json.dumps(_fishermen(greater_good={"weights": [1e308, 1e308]})),
+    "tiny-input.json": json.dumps(_fishermen(input_a=1e-308)),
+    "cake-huge-weights.json": json.dumps(_cake(principles=[
+        {"principle": "greater_good", "mode": "diorthotic", "weights": [1.5e308, 1.5e308]},
+    ])),
+    "cake-huge-bonus.json": json.dumps(_cake(pieces=[
+        {"amount": 0.2, "bonus": {"A": 1e308}},
+        {"amount": 0.4, "bonus": {"A": 1e308}},
+        {"amount": 0.4},
+    ])),
+    "cake-zero-weights.json": json.dumps(_cake(aggregation={"weights": {
+        spec["principle"]: 0 for spec in get_preset("cake")["principles"]
+    }})),
     "blowup.json": json.dumps({
         "kind": "discrete",
         "agents": [{"id": "A", "input": 1.0}, {"id": "B", "input": 1.0}],
@@ -320,6 +363,10 @@ ERROR_CONTRACT = [
      "error: ZeroElement: Theil L diverges on zero elements"),
     ("metrics-gini-zero-sum", ["metrics", "--values", "0,0", "--metric", "gini"], 2,
      "error: ZeroSum: gini undefined for an all-zero vector"),
+    ("metrics-std-dev-overflow", ["metrics", "--values", "1,1e200", "--metric", "std_dev"], 2,
+     "error: NonFiniteScore: arithmetic overflow"),
+    ("metrics-gini-overflow", ["metrics", "--values", "1.7e308,1.7e308", "--metric", "gini"], 2,
+     "error: NonFiniteScore: arithmetic overflow"),
     ("evaluate-resolution-cake", ["evaluate", "--preset", "cake", "--resolution", "1"], 2,
      "error: --resolution must be >= 2"),
     ("evaluate-resolution-fishermen",
@@ -340,6 +387,21 @@ ERROR_CONTRACT = [
     ("evaluate-three-agents", ["evaluate", "--config", "{tmp}/three-agents.json"], 3,
      "error: principle 'difference' on candidate 'frontier': "
      "UnsupportedPopulation: frontier optimization supports exactly two agents"),
+    ("evaluate-huge-welfare-weights", ["evaluate", "--config", "{tmp}/huge-weights.json"], 3,
+     "error: principle 'greater_good' on candidate 'frontier': "
+     "NonFiniteScore: non-finite score inf"),
+    ("evaluate-tiny-input", ["evaluate", "--config", "{tmp}/tiny-input.json"], 3,
+     "error: principle 'proportion' on candidate 'frontier': "
+     "NonFiniteScore: arithmetic overflow"),
+    ("evaluate-discrete-huge-welfare-weights",
+     ["evaluate", "--config", "{tmp}/cake-huge-weights.json"], 3,
+     "error: principle 'greater_good' on candidate 'scenario 1': "
+     "NonFiniteScore: non-finite score inf"),
+    ("evaluate-huge-bonus", ["evaluate", "--config", "{tmp}/cake-huge-bonus.json"], 2,
+     "error: $.pieces: utility of agent 'A' with every piece is not finite"),
+    ("evaluate-all-zero-aggregation-weights",
+     ["evaluate", "--config", "{tmp}/cake-zero-weights.json"], 2,
+     "error: $.aggregation.weights: at least one weight must be positive"),
     ("evaluate-blowup", ["evaluate", "--config", "{tmp}/blowup.json"], 3,
      "error: CombinatorialBlowup: 2^20 = 1048576 allocations exceed the cap of 1000000"),
     ("heatmap-discrete",

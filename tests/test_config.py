@@ -163,6 +163,15 @@ def _equality(metric):
     return lambda d: d["principles"].__setitem__(0, {"principle": "equality", "metric": metric})
 
 
+def _principle(**fields):
+    return lambda d: d["principles"][0].update(fields)
+
+
+def _overflowing_bonus(doc):
+    doc["pieces"][0]["bonus"] = {"B": 1e308}
+    doc["pieces"][1]["bonus"]["B"] = 1e308
+
+
 class TestErrorContract:
     """Full ConfigError messages: one missing-key, unknown-key and wrong-type
     case per schema table, plus each special value reader."""
@@ -245,6 +254,20 @@ class TestErrorContract:
             (minimal_discrete,
              lambda d: d.update(aggregation={"weights": {"greater_good": -1}}),
              "$.aggregation.weights.greater_good: weight must be >= 0"),
+            (minimal_discrete,
+             lambda d: d.update(aggregation={"weights": {"greater_good": 0}}),
+             "$.aggregation.weights: at least one weight must be positive"),
+            # a parameter only the principle's other mode reads
+            (minimal_discrete, _principle(principle="equality", variant="sen"),
+             "$.principles[0]: principle 'equality' has no variant 'sen' in dianemetic mode"),
+            (minimal_discrete, _principle(principle="proportion", variant="noop"),
+             "$.principles[0]: principle 'proportion' has no variant 'noop' in dianemetic mode"),
+            (minimal_continuous, _principle(principle="equality", metric="gini"),
+             "$.principles[0]: principle 'equality' takes no dispersion metric "
+             "in diorthotic mode"),
+            # a bonus total past the float range
+            (minimal_discrete, _overflowing_bonus,
+             "$.pieces: utility of agent 'B' with every piece is not finite"),
         ],
     )
     def test_full_message(self, make, mutate, message):

@@ -5,6 +5,7 @@ from conftest import assert_close, scale, vectors
 from fairalloc import (
     Agent,
     AllocationContext,
+    NonFiniteScoreError,
     ValueVector,
     ZeroInputError,
     mean,
@@ -92,6 +93,10 @@ class TestRatioVector:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             ratio_vector(ValueVector([1]), ValueVector([1, 2]))
+
+    def test_overflowing_ratio_is_non_finite(self):
+        with pytest.raises(NonFiniteScoreError):
+            ratio_vector(ValueVector([1.0, 7.0]), ValueVector([1.0, 1e-308]))
 
 
 class TestCoreProperties:

@@ -178,6 +178,10 @@ class TestTheil:
         with pytest.raises(ZeroElementError):
             theil_l(ValueVector([0, 1]))
 
+    def test_theil_t_share_underflow_counts_as_zero(self):
+        # 5e-324 / 5e299 underflows to 0 and counts as 0 ln 0
+        assert theil_t(ValueVector([5e-324, 1e300])) == math.log(2)
+
     def test_theil_t_zero_mean_rejected(self):
         with pytest.raises(ZeroMeanError):
             theil_t(ValueVector([0, 0]))

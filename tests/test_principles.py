@@ -1,3 +1,7 @@
+import dataclasses
+import itertools
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +14,7 @@ from fairalloc import (
     RHO_INF,
     AllocationContext,
     DispersionMetric,
+    DomainError,
     PrincipleSpec,
     ValueVector,
     ZeroInputError,
@@ -34,27 +39,61 @@ SCENARIO5_CTX = _ctx([0.9, 0.1], [0.6, 0.4], [0.7, 0.95])
 SCENARIO4_CTX = _ctx([0.9, 0.1], [0.8, 0.2], [1.0, 0.5])
 
 # Every (principle, mode, variant) the spec accepts, scored on SCENARIO4_CTX
-# with default basis, metric std_dev and threshold 0.5. A variant a mode does
-# not use (dianemetic sen, dianemetic noop) is accepted and ignored.
+# with default basis, metric std_dev and threshold 0.5.
 SHAPES = [
     ("difference", "dianemetic", "rawlsian", MAXIMIZE, 0.2),
     ("difference", "dianemetic", "harsanyian", MAXIMIZE, 0.5),
     ("difference", "diorthotic", "rawlsian", MAXIMIZE, 0.2),
     ("difference", "diorthotic", "harsanyian", MAXIMIZE, 0.5),
-    ("equality", "dianemetic", "foster", MINIMIZE, 0.30000000000000004),
-    ("equality", "dianemetic", "sen", MINIMIZE, 0.30000000000000004),
+    ("equality", "dianemetic", None, MINIMIZE, 0.30000000000000004),
     ("equality", "diorthotic", "foster", MAXIMIZE, 0.41234622211652944),
     ("equality", "diorthotic", "sen", MAXIMIZE, 0.35),
     ("equality_of_opportunity", "dianemetic", None, MINIMIZE, 0.4),
     ("equality_of_opportunity", "diorthotic", None, MAXIMIZE, -0.4),
     ("greater_good", "dianemetic", None, MAXIMIZE, 1.5),
     ("greater_good", "diorthotic", None, MAXIMIZE, 1.5),
-    ("proportion", "dianemetic", "dispersion", MINIMIZE, 0.5555555555555556),
-    ("proportion", "dianemetic", "noop", MINIMIZE, 0.5555555555555556),
+    ("proportion", "dianemetic", None, MINIMIZE, 0.5555555555555556),
     ("proportion", "diorthotic", "dispersion", MAXIMIZE, -0.5555555555555556),
     ("proportion", "diorthotic", "noop", MAXIMIZE, 0.0),
     ("sufficiency", "dianemetic", None, MAXIMIZE, 0.5),
     ("sufficiency", "diorthotic", None, MAXIMIZE, 0.5),
+]
+
+# The parameters each (principle, mode) reads, besides basis and threshold:
+# a spec setting any other variant, a metric or rho is refused.
+READS = {
+    ("difference", "dianemetic"): {"rawlsian", "harsanyian"},
+    ("difference", "diorthotic"): {"rawlsian", "harsanyian"},
+    ("equality", "dianemetic"): {"metric"},
+    ("equality", "diorthotic"): {"foster", "sen"},
+    ("equality_of_opportunity", "dianemetic"): {"metric"},
+    ("equality_of_opportunity", "diorthotic"): {"metric"},
+    ("greater_good", "dianemetic"): set(),
+    ("greater_good", "diorthotic"): {"rho"},
+    ("proportion", "dianemetic"): {"metric"},
+    ("proportion", "diorthotic"): {"dispersion", "noop", "metric"},
+    ("sufficiency", "dianemetic"): set(),
+    ("sufficiency", "diorthotic"): set(),
+}
+VARIANTS = ("rawlsian", "harsanyian", "foster", "sen", "dispersion", "noop")
+PARAMETERS = {
+    **{variant: {"variant": variant} for variant in VARIANTS},
+    "metric": {"metric": STD},
+    "rho": {"rho": 2.0},
+}
+
+# Parameters a mode never reads although the principle's other mode does.
+REFUSED = [
+    ("equality", "dianemetic", {"variant": "foster"},
+     "principle 'equality' has no variant 'foster' in dianemetic mode"),
+    ("equality", "dianemetic", {"variant": "sen"},
+     "principle 'equality' has no variant 'sen' in dianemetic mode"),
+    ("proportion", "dianemetic", {"variant": "dispersion"},
+     "principle 'proportion' has no variant 'dispersion' in dianemetic mode"),
+    ("proportion", "dianemetic", {"variant": "noop"},
+     "principle 'proportion' has no variant 'noop' in dianemetic mode"),
+    ("equality", "diorthotic", {"metric": STD},
+     "principle 'equality' takes no dispersion metric in diorthotic mode"),
 ]
 
 
@@ -91,6 +130,44 @@ class TestSpecValidation:
         assert _spec("greater_good").resolved_basis() == "utility"
         assert _spec("equality_of_opportunity").resolved_basis() == "input"
         assert _spec("sufficiency", threshold=0.5).resolved_basis() == "output"
+
+    @pytest.mark.parametrize("principle,mode", sorted(READS))
+    @pytest.mark.parametrize("parameter", sorted(PARAMETERS))
+    def test_accepted_exactly_when_read(self, principle, mode, parameter):
+        kwargs = {"threshold": 0.5} if principle == "sufficiency" else {}
+        kwargs.update(PARAMETERS[parameter])
+        if parameter in READS[principle, mode]:
+            _spec(principle, mode=mode, **kwargs)
+        else:
+            with pytest.raises(ValueError):
+                _spec(principle, mode=mode, **kwargs)
+
+    @pytest.mark.parametrize("principle,mode,kwargs,message", REFUSED)
+    def test_parameter_of_the_other_mode_names_the_mode(self, principle, mode, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            _spec(principle, mode=mode, **kwargs)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"principle": "sufficiency", "threshold": 1.0, "variant": "noop"},
+             "principle 'sufficiency' has no variant 'noop'"),
+            ({"principle": "difference", "variant": "foster"},
+             "principle 'difference' has no variant 'foster'"),
+            ({"principle": "difference", "metric": STD},
+             "principle 'difference' takes no dispersion metric"),
+            # also refused now for its variant, but the older rule is reported
+            ({"principle": "equality", "variant": "sen", "threshold": 1.0},
+             "threshold is required for sufficiency and only there"),
+            ({"principle": "equality", "variant": "noop"},
+             "principle 'equality' has no variant 'noop'"),
+        ],
+    )
+    def test_older_refusals_keep_their_message(self, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            PrincipleSpec(**kwargs)
+        assert str(err.value) == message
 
 
 class TestScoringTable:
@@ -200,7 +277,54 @@ class TestDiorthotic:
         assert_close(score(spec, ctx).value, 0.4)
 
 
+METRICS = [DispersionMetric.parse(name) for name in (
+    "gini", "atkinson(0.5)", "atkinson(1)", "atkinson(2)", "atkinson(inf)",
+    "herfindahl", "hoover", "palma", "std_dev", "theil_t", "theil_l",
+)]
+
+
+def _accepted_shapes():
+    # Every accepted spec shape: read variants, metrics, bases and isoelastic
+    # parameters, crossed per (principle, mode).
+    shapes = []
+    for (principle, mode), reads in sorted(READS.items()):
+        threshold = 1e-300 if principle == "sufficiency" else None
+        for variant, metric, basis, rho in itertools.product(
+            [None, *sorted(reads & set(VARIANTS))],
+            [None, *METRICS] if "metric" in reads else [None],
+            [None] if principle == "equality_of_opportunity" else [None, "output", "utility"],
+            [None, 0.0, 0.5, 1.0, 2.0, 200.0, RHO_INF] if "rho" in reads else [None],
+        ):
+            shapes.append(_spec(principle, mode=mode, variant=variant, basis=basis,
+                                metric=metric, threshold=threshold, rho=rho))
+    return shapes
+
+
+ACCEPTED_SHAPES = _accepted_shapes()
+EXTREME_VALUES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.0, 1e300, 1e308,
+                     1.7976931348623157e308]),
+    st.floats(min_value=0.0, max_value=1.7976931348623157e308),
+)
+
+
 class TestProperties:
+    @given(
+        st.sampled_from(ACCEPTED_SHAPES),
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda n: st.tuples(*[st.lists(EXTREME_VALUES, min_size=n, max_size=n)] * 3)
+        ),
+        st.none() | st.sampled_from([1.0, 1e-300, 1e308]),
+    )
+    def test_score_is_finite_or_a_domain_error(self, spec, columns, weight):
+        if weight is not None and spec.rho is not None:
+            spec = dataclasses.replace(spec, weights=(weight,) * len(columns[0]))
+        try:
+            value = score(spec, _ctx(*columns)).value
+        except DomainError:
+            return
+        assert type(value) is float and math.isfinite(value)
+
     @given(
         st.lists(
             st.lists(st.floats(min_value=0.05, max_value=5.0), min_size=2, max_size=2),

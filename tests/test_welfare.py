@@ -10,6 +10,7 @@ from fairalloc import (
     RHO_INF,
     AllocationContext,
     DispersionMetric,
+    NonFiniteScoreError,
     PrincipleSpec,
     ValueVector,
     WeightMismatchError,
@@ -69,6 +70,11 @@ class TestIsoelastic:
     def test_negative_rho_rejected(self):
         with pytest.raises(ValueError):
             isoelastic(ValueVector([1, 2]), None, -1.0)
+
+    def test_log_form_with_weighted_logs_past_the_float_range(self):
+        # 1e308 * ln(1e-300) is -inf and 1e308 * ln(1e300) is +inf
+        with pytest.raises(NonFiniteScoreError):
+            isoelastic(ValueVector([1e-300, 1e300]), [1e308, 1e308], 1.0)
 
 
 class TestBenthamite:
