@@ -24,7 +24,6 @@ from .core import (
     AllocationContext,
     ValueVector,
     mean,
-    min_value,
     ratio_vector,
     threshold_share,
 )
@@ -73,7 +72,6 @@ from .principles import (
 from .welfare import (
     RHO_INF,
     benthamite,
-    bernoulli_nash,
     foster,
     isoelastic,
     rawlsian,

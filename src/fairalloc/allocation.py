@@ -197,13 +197,17 @@ def _share_context(problem: ContinuousProblem, shares: ValueVector) -> Allocatio
 def optimize_frontier(
     problem: ContinuousProblem, spec: PrincipleSpec, resolution: int
 ) -> tuple[ValueVector, float]:
-    """Best frontier split for one principle, via grid search plus refinement.
+    """Best frontier split for one principle, by a scan of the breakpoints.
 
     The frontier of a two-agent problem is one-dimensional: shares are
-    (t, total - t). The grid has ``resolution`` equally spaced points
-    including both endpoints; the best grid cell is refined with a ternary
-    search. Grid ties go to the smaller t, and the refined point replaces
-    the grid optimum only if it scores strictly better.
+    (t, total - t). Between 0, total and the breakpoints, where the agents'
+    outputs or utilities (each as is or over the agent's input) are equal or
+    one of them equals the threshold, every score is monotone or unimodal.
+    The breakpoints are scored in ascending t, then one ternary search runs
+    on each piece between them. A point replaces the best only if it scores
+    strictly better, so ties go to a breakpoint and then to the smaller t,
+    and a plateau reports its left end. ``resolution`` is checked but does
+    not change the result.
     """
     if len(problem.agents) != 2:
         raise UnsupportedPopulationError(
@@ -218,29 +222,30 @@ def optimize_frontier(
         ctx = _share_context(problem, ValueVector((t, total - t)))
         return sign * score(spec, ctx).value
 
-    best_i = 0
-    best_val = objective(0.0)
-    step = total / (resolution - 1)
-    for i in range(1, resolution):
-        t = total if i == resolution - 1 else i * step
-        val = objective(t)
-        if val > best_val:
-            best_val = val
-            best_i = i
-    best_t = total if best_i == resolution - 1 else best_i * step
+    points = {0.0, total}
+    for a, b in ((1.0, 1.0), problem.retention_factors()):
+        for p, q in ((1.0, 1.0), problem.inputs.values):
+            # a*t/p == b*(total - t)/q, in the form that is exact on round inputs
+            if (den := a * q + b * p) > 0.0:
+                points.add(total * b * p / den)
+        if spec.threshold is not None:
+            points.update((spec.threshold / a, total - spec.threshold / b))
+    points = sorted(t for t in points if 0.0 <= t <= total)  # drops an overflowed crossing
 
-    lo = max(0.0, (best_i - 1) * step)
-    hi = min(total, (best_i + 1) * step)
-    for _ in range(100):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if objective(m1) >= objective(m2):
-            hi = m2
-        else:
-            lo = m1
-    refined_t = 0.5 * (lo + hi)
-    if objective(refined_t) > best_val:
-        best_t = refined_t
+    values = [objective(t) for t in points]
+    best_val = max(values)
+    best_t = points[values.index(best_val)]
+    for lo, hi in zip(points, points[1:]):
+        for _ in range(100):
+            m1 = lo + (hi - lo) / 3.0
+            m2 = hi - (hi - lo) / 3.0
+            if objective(m1) >= objective(m2):
+                hi = m2
+            else:
+                lo = m1
+        t = 0.5 * (lo + hi)
+        if (val := objective(t)) > best_val:
+            best_t, best_val = t, val
 
     shares = ValueVector((best_t, total - best_t))
     return shares, score(spec, _share_context(problem, shares)).value

@@ -84,8 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--resolution",
         type=int,
         default=DEFAULT_RESOLUTION,
-        help="frontier grid points for continuous problems "
-        f"(default {DEFAULT_RESOLUTION})",
+        help="accepted and checked (>= 2) for continuous problems, but does "
+        f"not change the result (default {DEFAULT_RESOLUTION})",
     )
 
     p_heatmap = _source_parser(

@@ -93,11 +93,6 @@ def mean(v: ValueVector) -> float:
     return math.fsum(v.values) / len(v)
 
 
-def min_value(v: ValueVector) -> float:
-    """Smallest element (the worst-off individual's value)."""
-    return min(v.values)
-
-
 def threshold_share(v: ValueVector, threshold: float) -> float:
     """Fraction of elements at or above ``threshold``.
 

@@ -72,8 +72,13 @@ def gini(v: ValueVector) -> float:
         raise ZeroSumError("gini undefined for an all-zero vector")
     n = len(v)
     ordered = sorted(v.values)
+    if math.isinf(n * total):  # covers the weighted sum too: it is at most n * total
+        # Scaling by a power of two is exact and gini is scale invariant.
+        k = math.frexp(ordered[-1])[1]
+        return gini(ValueVector(math.ldexp(x, -k) for x in ordered))
     weighted = math.fsum((i + 1) * x for i, x in enumerate(ordered))
-    return max(0.0, 2.0 * weighted / (n * total) - (n + 1) / n)
+    # 2 * (w / d) has the bits of 2 * w / d, but 2 * w cannot overflow
+    return max(0.0, 2.0 * (weighted / (n * total)) - (n + 1) / n)
 
 
 def _power_mean(values: tuple[float, ...], p: float) -> float:

@@ -77,14 +77,8 @@ class PrincipleSpec:
         if self.metric is not None and not row.metric:
             raise ValueError(f"principle {p!r} takes no dispersion metric in {self.mode} mode")
 
-    def resolved_basis(self) -> str:
-        return self.basis or _SCORING[self.principle, self.mode].basis
-
     def resolved_metric(self) -> DispersionMetric:
         return self.metric or STD_DEV
-
-    def resolved_variant(self) -> str | None:
-        return self.variant or _SCORING[self.principle, self.mode].variants[0]
 
 
 @dataclass(frozen=True)

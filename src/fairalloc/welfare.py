@@ -71,12 +71,6 @@ def rawlsian(u: ValueVector) -> float:
     return min(u.values)
 
 
-def bernoulli_nash(u: ValueVector, weights: Sequence[float] | None = None) -> float:
-    """Nash welfare as the weighted product prod(alpha_i * u_i)."""
-    w = _checked_weights(u, weights)
-    return math.prod(wi * xi for wi, xi in zip(w, u.values))
-
-
 def sen(y: ValueVector) -> float:
     """Sen welfare: mean output discounted by inequality, mean * (1 - Gini)."""
     return mean(y) * (1.0 - gini(y))

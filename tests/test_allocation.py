@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -17,6 +18,7 @@ from fairalloc import (
     DiscreteAllocation,
     DiscreteProblem,
     DispersionMetric,
+    DomainError,
     NonFiniteScoreError,
     OffFrontierError,
     Piece,
@@ -26,6 +28,7 @@ from fairalloc import (
     ValueVector,
     aggregate_ranks,
     continuous_ranking,
+    direction,
     discrete_ranking,
     enumerate_discrete,
     evaluate_discrete,
@@ -34,7 +37,9 @@ from fairalloc import (
     load_preset,
     optimize_frontier,
     rank_scores,
+    score,
 )
+from test_principles import ACCEPTED_SHAPES
 
 STD = DispersionMetric("std_dev")
 
@@ -201,9 +206,9 @@ class TestOptimizeFrontier:
         cfg = load_preset("fishermen")
         by_label = dict(zip(cfg.principle_labels, cfg.specs))
         shares, value = optimize_frontier(cfg.problem, by_label["difference"], 10001)
-        assert abs(shares[0] - 3.5) <= 0.01
+        assert shares[0] == 3.5  # 7 * 1 / 2, a breakpoint
         shares, _ = optimize_frontier(cfg.problem, by_label["proportion"], 10001)
-        assert abs(shares[0] - 2.8) <= 0.01
+        assert shares[0] == 2.8  # 7 * 8 / 20, a breakpoint
         shares, value = optimize_frontier(cfg.problem, by_label["greater_good"], 10001)
         assert shares[0] == 7.0
         assert_close(value, 6.65)
@@ -229,7 +234,7 @@ class TestOptimizeFrontier:
         spec = dict(zip(cfg.principle_labels, cfg.specs))["sufficiency"]
         shares, value = optimize_frontier(cfg.problem, spec, 10001)
         assert value == 1.0
-        assert 2.0 <= shares[0] <= 2.001
+        assert shares[0] == 2.0
 
     def test_matches_dense_scan(self):
         # Vectorized closed forms of each preset objective over a dense grid
@@ -250,6 +255,43 @@ class TestOptimizeFrontier:
             dense_t = float(t[int(np.argmax(closed_forms[label]))])
             shares, _ = optimize_frontier(cfg.problem, spec, 10001)
             assert abs(shares[0] - dense_t) <= 7.0 * 1e-3, label
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.tuples(*[st.sampled_from([0.0, 1.0, 8.0, 12.0]) | st.floats(1e-3, 1e3)] * 2),
+        st.tuples(*[st.floats(0.05, 1.0)] * 2),
+        st.floats(1e-2, 1e6),
+        st.sampled_from(ACCEPTED_SHAPES),
+        st.floats(0.0, 1.25),
+    )
+    def test_exact_for_every_spec_shape(self, inputs, retention, total, spec, threshold_share):
+        agents = (Agent(id="a", input=inputs[0]), Agent(id="b", input=inputs[1]))
+        problem = ContinuousProblem(agents=agents, total=total, retention=dict(zip("ab", retention)))
+        if spec.threshold is not None:
+            spec = dataclasses.replace(spec, threshold=threshold_share * total)
+        sign = -1.0 if direction(spec) == MINIMIZE else 1.0
+
+        def objective(t):
+            return sign * score(spec, frontier_context(problem, ValueVector((t, total - t)))).value
+
+        results = []
+        for resolution in (2, 101, 10_001):
+            try:
+                results.append(optimize_frontier(problem, spec, resolution))
+            except DomainError as err:
+                results.append(type(err))
+        assert results[0] == results[1] == results[2]
+        try:
+            objective(0.0)
+        except DomainError as err:
+            assert results[0] is type(err)
+            return
+        try:
+            grid_best = max(objective(total if i == 2000 else total * i / 2000) for i in range(2001))
+        except DomainError:
+            return  # the optimizer may return or raise
+        shares, value = results[0]
+        assert sign * value >= grid_best - 1e-9 * max(1.0, abs(grid_best))
 
 
 def _foster_closed_form(t):

@@ -43,6 +43,11 @@ class TestMetrics:
         assert [ln.split()[0] for ln in lines] == ["hoover", "std_dev", "atkinson(inf)"]
         assert [ln.split()[1] for ln in lines] == ["0.25", "1", "0.5"]
 
+    def test_gini_near_the_float_limit(self, capsys):
+        code, out, _ = run(capsys, "metrics", "--values", "1e308,5e307", "--metric", "gini")
+        assert code == 0
+        assert out.split() == ["gini", "0.166667"]
+
     def test_domain_violation_exits_2_with_error_name(self, capsys):
         code, _, err = run(capsys, "metrics", "--values", "0,1", "--metric", "theil_l")
         assert code == 2
@@ -390,9 +395,10 @@ ERROR_CONTRACT = [
     ("evaluate-huge-welfare-weights", ["evaluate", "--config", "{tmp}/huge-weights.json"], 3,
      "error: principle 'greater_good' on candidate 'frontier': "
      "NonFiniteScore: non-finite score inf"),
+    # the first breakpoint past the float range is where the utilities are equal
     ("evaluate-tiny-input", ["evaluate", "--config", "{tmp}/tiny-input.json"], 3,
      "error: principle 'proportion' on candidate 'frontier': "
-     "NonFiniteScore: arithmetic overflow"),
+     "NonFiniteScore: output/input ratio overflows the float range"),
     ("evaluate-discrete-huge-welfare-weights",
      ["evaluate", "--config", "{tmp}/cake-huge-weights.json"], 3,
      "error: principle 'greater_good' on candidate 'scenario 1': "

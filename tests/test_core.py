@@ -9,7 +9,7 @@ from fairalloc import (
     ValueVector,
     ZeroInputError,
     mean,
-    min_value,
+    rawlsian,
     ratio_vector,
     threshold_share,
 )
@@ -57,13 +57,6 @@ class TestMean:
         assert mean(ValueVector([0.8, 0.2])) == 0.5
 
 
-class TestMinValue:
-    def test_examples(self):
-        assert min_value(ValueVector([0.8, 0.7])) == 0.7
-        assert min_value(ValueVector([5, 5])) == 5
-        assert min_value(ValueVector([0, 3, 1])) == 0
-
-
 class TestThresholdShare:
     def test_examples(self):
         assert threshold_share(ValueVector([0.67, 0.5]), 0.5) == 1.0
@@ -106,13 +99,13 @@ class TestCoreProperties:
         rnd.shuffle(values)
         shuffled = ValueVector(values)
         assert_close(mean(shuffled), mean(v))
-        assert min_value(shuffled) == min_value(v)
+        assert rawlsian(shuffled) == rawlsian(v)
         assert threshold_share(shuffled, t) == threshold_share(v, t)
 
     @given(vectors(), st.floats(min_value=1e-3, max_value=1e3))
     def test_degree_one_homogeneity(self, v, c):
         assert_close(mean(scale(v, c)), c * mean(v), rel=1e-9, abs_tol=1e-9)
-        assert_close(min_value(scale(v, c)), c * min_value(v), rel=1e-9, abs_tol=1e-9)
+        assert_close(rawlsian(scale(v, c)), c * rawlsian(v), rel=1e-9, abs_tol=1e-9)
 
     @given(vectors(min_size=2), st.floats(min_value=0, max_value=1e6), st.data())
     def test_threshold_share_monotone(self, v, t, data):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -59,6 +60,26 @@ class TestGini:
         assert gini(ValueVector([5, 5, 5])) == 0.0
         assert_close(gini(ValueVector([1, 3])), 0.25)
         assert_close(gini(ValueVector([0, 1])), 0.5)
+
+    def test_past_the_float_range(self):
+        # n * sum overflows; the power-of-two rescale keeps every bit
+        assert gini(ValueVector([1e308, 5e307])) == gini(ValueVector([1.0, 0.5]))
+        assert gini(ValueVector([5e307, 9e307])) == gini(ValueVector([5.0, 9.0]))
+
+    @given(
+        vectors(min_size=1, max_size=30, positive=True),
+        st.integers(min_value=-12, max_value=0) | st.integers(min_value=-2100, max_value=0),
+    )
+    def test_power_of_two_scaling_keeps_every_bit(self, v, headroom):
+        # headroom 0 puts the largest element just below the float limit
+        j = 1024 - math.frexp(max(v.values))[1] + headroom
+        scaled = [math.ldexp(x, j) for x in v.values]
+        assume(min(scaled) >= sys.float_info.min)  # no subnormal rounding
+        try:
+            math.fsum(scaled)
+        except OverflowError:
+            assume(False)  # the sum itself is past the float range
+        assert gini(ValueVector(scaled)) == gini(v)
 
     def test_zero_sum_rejected(self):
         with pytest.raises(ZeroSumError):

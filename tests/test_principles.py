@@ -22,7 +22,9 @@ from fairalloc import (
     foster,
     mean,
     score,
+    std_dev,
 )
+from fairalloc.principles import _SCORING
 
 STD = DispersionMetric("std_dev")
 
@@ -126,10 +128,17 @@ class TestSpecValidation:
             _spec("difference", mode=DIORTHOTIC, weights=(1.0, 1.0))
 
     def test_default_bases(self):
-        assert _spec("difference").resolved_basis() == "output"
-        assert _spec("greater_good").resolved_basis() == "utility"
-        assert _spec("equality_of_opportunity").resolved_basis() == "input"
-        assert _spec("sufficiency", threshold=0.5).resolved_basis() == "output"
+        # SCENARIO4_CTX's inputs, outputs and utilities all score differently
+        for principle, basis, other, kwargs in [
+            ("difference", "output", "utility", {}),
+            ("greater_good", "utility", "output", {}),
+            ("sufficiency", "output", "utility", {"threshold": 0.5}),
+        ]:
+            default = score(_spec(principle, **kwargs), SCENARIO4_CTX).value
+            assert default == score(_spec(principle, basis=basis, **kwargs), SCENARIO4_CTX).value
+            assert default != score(_spec(principle, basis=other, **kwargs), SCENARIO4_CTX).value
+        inputs_std = score(_spec("equality_of_opportunity", metric=STD), SCENARIO4_CTX).value
+        assert inputs_std == std_dev(SCENARIO4_CTX.inputs) != std_dev(SCENARIO4_CTX.outputs)
 
     @pytest.mark.parametrize("principle,mode", sorted(READS))
     @pytest.mark.parametrize("parameter", sorted(PARAMETERS))
@@ -179,7 +188,7 @@ class TestScoringTable:
         assert result.value == expected
         assert result.direction == direction(spec) == expected_direction
         default = _spec(principle, mode=mode, **kwargs)
-        if default.resolved_variant() == variant:  # the first variant is the default
+        if _SCORING[principle, mode].variants[0] == variant:  # the first variant is the default
             assert score(default, SCENARIO4_CTX).value == expected
 
     @pytest.mark.parametrize(

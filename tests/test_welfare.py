@@ -16,7 +16,6 @@ from fairalloc import (
     WeightMismatchError,
     ZeroElementError,
     benthamite,
-    bernoulli_nash,
     foster,
     isoelastic,
     mean,
@@ -94,17 +93,9 @@ class TestRawlsian:
         assert_close(rawlsian(ValueVector([3.5 * 0.95, 3.5 * 0.85])), 2.975)
         assert rawlsian(ValueVector([5])) == 5.0
         assert rawlsian(ValueVector([1.0, 0.5])) == 0.5
-
-
-class TestBernoulliNash:
-    def test_examples(self):
-        assert_close(bernoulli_nash(ValueVector([1.0, 0.5]), [1, 1]), 0.5)
-        assert bernoulli_nash(ValueVector([3.0, 0.0]), [2, 5]) == 0.0
-        assert_close(bernoulli_nash(ValueVector([2, 3]), [1, 2]), 12.0)
-
-    def test_weight_mismatch(self):
-        with pytest.raises(WeightMismatchError):
-            bernoulli_nash(ValueVector([1, 2]), [1, 1, 1])
+        assert rawlsian(ValueVector([0.8, 0.7])) == 0.7
+        assert rawlsian(ValueVector([5, 5])) == 5
+        assert rawlsian(ValueVector([0, 3, 1])) == 0
 
 
 class TestSenFoster:
@@ -185,7 +176,7 @@ class TestOrderingConsistency:
     )
     def test_log_sum_argmax_equals_product_argmax(self, candidates):
         us = [ValueVector(c) for c in candidates]
-        products = [bernoulli_nash(u) for u in us]
+        products = [math.prod(u.values) for u in us]
         assume(max(products) - sorted(products)[-2] > 1e-9)
         by_log = max(range(len(us)), key=lambda i: isoelastic(us[i], None, 1.0))
         assert by_log == max(range(len(us)), key=lambda i: products[i])
@@ -216,6 +207,6 @@ class TestWelfareDispatch:
         assert_close(_welfare("greater_good", ctx, rho=0.0), benthamite(ctx.utilities))
         assert_close(
             _welfare("greater_good", ctx, rho=1.0),
-            math.log(bernoulli_nash(ctx.utilities)),
+            math.log(math.prod(ctx.utilities.values)),
         )
         assert_close(_welfare("equality_of_opportunity", ctx, metric=STD), -0.5)
