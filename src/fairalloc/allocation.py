@@ -25,7 +25,15 @@ from .errors import (
     ScoringError,
     UnsupportedPopulationError,
 )
-from .principles import MINIMIZE, PrincipleSpec, direction as principle_direction, score
+from .principles import (
+    BASIS_INPUT,
+    BASIS_UTILITY,
+    MINIMIZE,
+    PrincipleSpec,
+    direction as principle_direction,
+    score,
+    score_column,
+)
 
 ENUMERATION_CAP = 1_000_000
 
@@ -268,7 +276,9 @@ def heatmap(
 
     Off-frontier points are scored too, so contour plots can show welfare
     level sets crossing the frontier. Cells whose score raises a domain
-    error carry ``None`` instead of aborting the sweep.
+    error carry ``None`` instead of aborting the sweep. The square is scored
+    as one column of the basis vector the spec reads, streamed cell by cell;
+    an input-based principle (equality of opportunity) is scored once.
     """
     if len(problem.agents) != 2:
         raise UnsupportedPopulationError("heatmaps support exactly two agents")
@@ -276,19 +286,23 @@ def heatmap(
         raise ValueError("grid must be >= 1")
     total = problem.total
     band = total / grid
-    cells = []
-    for i in range(grid + 1):
-        y_a = total if i == grid else i * total / grid
-        for j in range(grid + 1):
-            y_b = total if j == grid else j * total / grid
-            try:
-                value = score(spec, _share_context(problem, ValueVector((y_a, y_b)))).value
-            except DomainError:
-                value = None
-            cells.append(
-                HeatmapCell(y_a, y_b, value, abs(y_a + y_b - total) <= band)
-            )
-    return cells
+    axis = [total if i == grid else i * total / grid for i in range(grid + 1)]
+    basis = spec.resolved_basis()
+    if basis == BASIS_INPUT:
+        vectors = itertools.repeat(problem.inputs, len(axis) ** 2)
+    else:
+        if basis == BASIS_UTILITY:
+            r_a, r_b = problem.retention_factors()
+            axis_a, axis_b = [r_a * y for y in axis], [r_b * y for y in axis]
+        else:
+            axis_a = axis_b = axis
+        vectors = (ValueVector((a, b)) for a in axis_a for b in axis_b)
+    return [
+        HeatmapCell(y_a, y_b, value, abs(y_a + y_b - total) <= band)
+        for (y_a, y_b), value in zip(
+            itertools.product(axis, repeat=2), score_column(spec, vectors, problem.inputs)
+        )
+    ]
 
 
 def rank_scores(values: Sequence[float], direction: str) -> list[int]:

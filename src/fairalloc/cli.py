@@ -202,12 +202,26 @@ def cmd_evaluate(args) -> None:
         print(f"\nwrote {args.out}")
 
 
+class _AxisFields(dict):
+    """Axis value -> its CSV field, formatted on first use.
+
+    Zeros are never stored: 0.0 and -0.0 are equal keys but print "0" and "-0".
+    """
+
+    def __missing__(self, y: float) -> str:
+        field = f"{y:.12g}"
+        if y:
+            self[y] = field
+        return field
+
+
 def _heatmap_csv(cells) -> str:
+    axis = _AxisFields()
     lines = ["y_a,y_b,score,on_frontier"]
     for cell in cells:
         score = "" if cell.score is None else f"{cell.score:.12g}"
         lines.append(
-            f"{cell.y_a:.12g},{cell.y_b:.12g},{score},{1 if cell.on_frontier else 0}"
+            f"{axis[cell.y_a]},{axis[cell.y_b]},{score},{1 if cell.on_frontier else 0}"
         )
     return "\n".join(lines) + "\n"
 

@@ -67,18 +67,27 @@ def gini(v: ValueVector) -> float:
     Computed from the sorted vector in O(n log n); equals the O(n^2)
     pairwise-sum definition.
     """
-    total = math.fsum(v.values)
+    try:
+        total = math.fsum(v.values)
+    except OverflowError:
+        total = math.inf
     if total == 0.0:
         raise ZeroSumError("gini undefined for an all-zero vector")
     n = len(v)
     ordered = sorted(v.values)
     if math.isinf(n * total):  # covers the weighted sum too: it is at most n * total
         # Scaling by a power of two is exact and gini is scale invariant.
-        k = math.frexp(ordered[-1])[1]
-        return gini(ValueVector(math.ldexp(x, -k) for x in ordered))
+        return gini(_scaled_down(ordered)[0])
     weighted = math.fsum((i + 1) * x for i, x in enumerate(ordered))
     # 2 * (w / d) has the bits of 2 * w / d, but 2 * w cannot overflow
     return max(0.0, 2.0 * (weighted / (n * total)) - (n + 1) / n)
+
+
+def _scaled_down(values) -> tuple[ValueVector, int]:
+    # (values * 2^-k, k), k the exponent of the largest value: the fallback of a
+    # statistic whose direct path overflows. The scaled values are below 1.
+    k = math.frexp(max(values))[1]
+    return ValueVector(math.ldexp(x, -k) for x in values), k
 
 
 def _power_mean(values: tuple[float, ...], p: float) -> float:
@@ -175,8 +184,17 @@ def palma(v: ValueVector) -> float:
 
 def std_dev(v: ValueVector) -> float:
     """Population standard deviation (square root of the biased variance)."""
-    m = mean(v)
-    return math.sqrt(math.fsum((x - m) ** 2 for x in v.values) / len(v))
+    try:
+        m = mean(v)
+        result = math.sqrt(math.fsum((x - m) ** 2 for x in v.values) / len(v))
+    except OverflowError:
+        result = math.inf
+    if math.isfinite(result):
+        return result
+    # Past the float range only on the way: scaling by a power of two is
+    # exact, and the std scales with the values.
+    scaled, k = _scaled_down(v.values)
+    return math.ldexp(std_dev(scaled), k)
 
 
 def theil_t(v: ValueVector) -> float:

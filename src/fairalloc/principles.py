@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import AllocationContext, ValueVector, mean, ratio_vector, threshold_share
 from .dispersion import STD_DEV, DispersionMetric, dispersion
-from .errors import NonFiniteScoreError
+from .errors import DomainError, NonFiniteScoreError
 from .welfare import benthamite, foster, isoelastic, rawlsian, sen
 
 DIANEMETIC = "dianemetic"
@@ -80,6 +80,10 @@ class PrincipleSpec:
     def resolved_metric(self) -> DispersionMetric:
         return self.metric or STD_DEV
 
+    def resolved_basis(self) -> str:
+        """The basis vector scored: BASIS_OUTPUT, BASIS_UTILITY or BASIS_INPUT."""
+        return self.basis or _SCORING[self.principle, self.mode].basis
+
 
 @dataclass(frozen=True)
 class PrincipleScore:
@@ -110,6 +114,31 @@ def score(spec: PrincipleSpec, ctx: AllocationContext) -> PrincipleScore:
     if not math.isfinite(value):
         raise NonFiniteScoreError(f"non-finite score {value!r}")
     return PrincipleScore(spec, value, scoring.direction)
+
+
+def score_column(
+    spec: PrincipleSpec, vectors: Iterable[ValueVector], inputs: ValueVector
+) -> Iterator[float | None]:
+    """Score a stream of basis vectors that share one inputs vector.
+
+    Yields what ``score`` would return as the value for each vector, or None
+    where ``score`` would raise a domain error. A vector that is the same
+    object as the one before it is not scored again, so a column of
+    ``inputs`` (equality of opportunity) is scored once.
+    """
+    value_of = _SCORING[spec.principle, spec.mode].value
+    last = value = None
+    for v in vectors:
+        if v is not last:
+            last = v
+            try:
+                value = value_of(spec, v, inputs)
+            except (OverflowError, DomainError):
+                value = None
+            else:
+                if not math.isfinite(value):
+                    value = None
+        yield value
 
 
 def _negated(value: float) -> float:

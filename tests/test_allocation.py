@@ -39,9 +39,13 @@ from fairalloc import (
     rank_scores,
     score,
 )
+from fairalloc import principles
+from fairalloc.allocation import _share_context
+from fairalloc.dispersion import dispersion
 from test_principles import ACCEPTED_SHAPES
 
 STD = DispersionMetric("std_dev")
+MAX_FLOAT = 1.7976931348623157e308
 
 
 def cake_problem():
@@ -338,6 +342,64 @@ class TestHeatmap:
         cells = heatmap(cfg.problem, spec, 2)
         assert cells[0].score is None  # Foster is undefined at the origin
         assert sum(c.score is None for c in cells) == 1
+
+    def test_non_finite_scores_become_missing_cells(self):
+        cfg = load_preset("fishermen")
+        spec = cfg.specs[list(cfg.principle_labels).index("greater_good")]
+        spec = dataclasses.replace(spec, weights=(1e308, 1e308))
+        cells = heatmap(cfg.problem, spec, 7)
+        # the weighted sum is inf once the utilities add up to more than about 1.8
+        assert cells[0].score == 0.0
+        assert cells[-1].score is None
+        assert all(c.score is None or math.isfinite(c.score) for c in cells)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.tuples(*[st.sampled_from([0.0, 5e-324, 1.0, 8.0, 1e308, MAX_FLOAT])
+                    | st.floats(0.0, 1e308)] * 2),
+        st.tuples(*[st.sampled_from([5e-324, 1e-300, 1.0]) | st.floats(1e-3, 1.0)] * 2),
+        # up to 2.9e307, so that grid * total stays in the float range
+        st.sampled_from([1e-300, 7.0, 1e307, 2.9e307]) | st.floats(1e-3, 1e6),
+        st.sampled_from(ACCEPTED_SHAPES),
+        st.integers(1, 6),
+        st.floats(0.0, 1.25),
+        st.none() | st.sampled_from([1.0, 1e-300, 1e308]),
+    )
+    def test_every_cell_is_a_direct_score(
+        self, inputs, retention, total, spec, grid, threshold_share, weight
+    ):
+        agents = (Agent(id="a", input=inputs[0]), Agent(id="b", input=inputs[1]))
+        problem = ContinuousProblem(agents=agents, total=total, retention=dict(zip("ab", retention)))
+        if spec.threshold is not None:
+            spec = dataclasses.replace(spec, threshold=threshold_share * total)
+        if weight is not None and spec.rho is not None:
+            spec = dataclasses.replace(spec, weights=(weight, weight))
+        axis = [total if i == grid else i * total / grid for i in range(grid + 1)]
+        cells = heatmap(problem, spec, grid)
+        assert [(c.y_a, c.y_b) for c in cells] == list(itertools.product(axis, repeat=2))
+        for cell in cells:
+            try:
+                expected = score(spec, _share_context(problem, ValueVector((cell.y_a, cell.y_b))))
+            except DomainError:
+                assert cell.score is None
+            else:
+                assert cell.score is not None
+                assert cell.score.hex() == expected.value.hex()
+
+    def test_an_input_based_principle_is_scored_once(self, monkeypatch):
+        calls = []
+
+        def counted(metric, v):
+            calls.append(v)
+            return dispersion(metric, v)
+
+        monkeypatch.setattr(principles, "dispersion", counted)
+        cfg = load_preset("fishermen")
+        spec = cfg.specs[list(cfg.principle_labels).index("equality_of_opportunity")]
+        cells = heatmap(cfg.problem, spec, 10)
+        assert calls == [cfg.problem.inputs]
+        assert len(cells) == 121
+        assert {c.score for c in cells} == {-2.0}
 
 
 class TestRanking:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 import fairalloc
 import oracles
 from fairalloc.allocation import aggregate_ranks
-from fairalloc.cli import main
+from fairalloc.allocation import HeatmapCell
+from fairalloc.cli import _heatmap_csv, main
 from fairalloc.presets import get_preset
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -291,6 +293,56 @@ class TestGoldenOutput:
         assert out == f"{stdout}\nwrote {path}\n"
         assert path.read_bytes() == (GOLDEN / f"{preset}.csv").read_bytes()
 
+    # SHA-256 of heatmap stdout, taken before the heatmap scored one column
+    # per principle; each config file is written under tmp_path.
+    HEATMAP_DIGESTS = [
+        ("difference", None, "60",
+         "2c95aac04f82097e850d7d286bcaa216c470e603c3fb202ca183ef3b15ed1c67"),
+        ("equality", None, "60",
+         "082b987b8c73af76809614220485d7886ba6fbce3a7e50e3ba38194500497e06"),
+        ("equality_of_opportunity", None, "60",
+         "f3044034e4d616d41b2bac8c5ae8c6735b60874758e32783f1347c67541f01cc"),
+        ("greater_good", None, "60",
+         "8e5739b5212db944df980f3675293a5055e8a75bf2e7a4c8d1d9770b795d7891"),
+        ("proportion", None, "60",
+         "d5f1ef6c361a06b10bb33d9970e9e2c80c042066ee418a69508c2f76729b79e3"),
+        ("sufficiency", None, "60",
+         "845c24001cee18a051fa496f9909e5206df138ed40cda3a26d3ff482cb1a3e32"),
+        # 121 cells of the zero row and column are undefined
+        ("equality", {"principle": "equality", "metric": "theil_l"}, "60",
+         "cb176c203f4581748a2afd7f4c86fc68bbe12a03cad9ad9bdc20d253501b1eb7"),
+        # the config of test_overflowing_scores_become_empty_fields
+        ("greater_good", {"principle": "greater_good", "basis": "utility",
+                          "mode": "diorthotic", "rho": 200}, "300",
+         "598ecbc8b270f8aef0e7f55f90f8a61a36d9e90f5c65cf473f9a3f23ebb0e5ee"),
+    ]
+
+    @pytest.mark.parametrize(
+        "principle, spec, grid, digest",
+        HEATMAP_DIGESTS,
+        ids=[*(row[0] for row in HEATMAP_DIGESTS[:6]), "theil_l", "rho200"],
+    )
+    def test_heatmap_matches_digest(self, capsys, tmp_path, principle, spec, grid, digest):
+        source = ["--preset", "fishermen"]
+        if spec is not None:
+            doc = get_preset("fishermen")
+            doc["principles"] = [
+                spec if s["principle"] == principle else s for s in doc["principles"]
+            ]
+            path = tmp_path / "heatmap.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            source = ["--config", str(path)]
+        code, out, _ = run(capsys, "heatmap", *source, "--principle", principle, "--grid", grid)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_heatmap_csv_keeps_the_sign_of_zero(self):
+        cells = [HeatmapCell(y_a, y_b, None, False)
+                 for y_a in (0.0, -0.0) for y_b in (-0.0, 0.0, -0.0)]
+        assert _heatmap_csv(cells).splitlines()[1:] == [
+            "0,-0,,0", "0,0,,0", "0,-0,,0", "-0,-0,,0", "-0,0,,0", "-0,-0,,0",
+        ]
+
 
 def _fishermen(greater_good=None, input_a=None):
     doc = get_preset("fishermen")
@@ -350,7 +402,8 @@ CONTRACT_FILES = {
 
 HEATMAP = ["heatmap", "--preset", "fishermen", "--principle"]
 
-# (id, argv, exit code, full stderr); "{tmp}" stands for the files' directory.
+# (id, argv, exit code, full stderr, or full stdout for exit 0); "{tmp}" stands
+# for the files' directory.
 ERROR_CONTRACT = [
     ("metrics-unparseable", ["metrics", "--values", "1,banana", "--metric", "gini"], 2,
      "error: cannot parse --values '1,banana'"),
@@ -368,10 +421,11 @@ ERROR_CONTRACT = [
      "error: ZeroElement: Theil L diverges on zero elements"),
     ("metrics-gini-zero-sum", ["metrics", "--values", "0,0", "--metric", "gini"], 2,
      "error: ZeroSum: gini undefined for an all-zero vector"),
-    ("metrics-std-dev-overflow", ["metrics", "--values", "1,1e200", "--metric", "std_dev"], 2,
-     "error: NonFiniteScore: arithmetic overflow"),
-    ("metrics-gini-overflow", ["metrics", "--values", "1.7e308,1.7e308", "--metric", "gini"], 2,
-     "error: NonFiniteScore: arithmetic overflow"),
+    # Once refused; an overflow on the way now takes the power-of-two rescale.
+    ("metrics-std-dev-overflow", ["metrics", "--values", "1,1e200", "--metric", "std_dev"], 0,
+     "std_dev  5e+199"),
+    ("metrics-gini-overflow", ["metrics", "--values", "1.7e308,1.7e308", "--metric", "gini"], 0,
+     "gini  0"),
     ("evaluate-resolution-cake", ["evaluate", "--preset", "cake", "--resolution", "1"], 2,
      "error: --resolution must be >= 2"),
     ("evaluate-resolution-fishermen",
@@ -439,7 +493,7 @@ class TestErrorContract:
             (tmp_path / name).write_text(text, encoding="utf-8")
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         expected = err.replace("{tmp}", str(tmp_path)) + "\n"
-        assert run(capsys, *argv) == (code, "", expected)
+        assert run(capsys, *argv) == ((code, "", expected) if code else (code, expected, ""))
 
 
 class TestEntryPoint:

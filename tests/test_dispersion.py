@@ -27,6 +27,7 @@ from fairalloc import (
 )
 
 INF = math.inf
+MAX_FLOAT = sys.float_info.max
 
 # Metrics under the Pigou-Dalton transfer property; palma is excluded since
 # transfers strictly inside the 40-90 band leave it unchanged at best.
@@ -65,6 +66,9 @@ class TestGini:
         # n * sum overflows; the power-of-two rescale keeps every bit
         assert gini(ValueVector([1e308, 5e307])) == gini(ValueVector([1.0, 0.5]))
         assert gini(ValueVector([5e307, 9e307])) == gini(ValueVector([5.0, 9.0]))
+        # the sum itself overflows
+        assert gini(ValueVector([1.7e308, 1.7e308])) == 0.0
+        assert_close(gini(ValueVector([1.7e308, 1.7e308, 0.0])), 1.0 / 3.0)
 
     @given(
         vectors(min_size=1, max_size=30, positive=True),
@@ -186,6 +190,22 @@ class TestStdDev:
     def test_matches_numpy(self, v):
         assert_close(std_dev(v), oracles.std_dev_numpy(v.values), abs_tol=1e-7)
 
+    def test_past_the_float_range(self):
+        # (x - m) ** 2 or the mean's sum overflows; the std itself is finite
+        assert std_dev(ValueVector([1.0, 1e200])) == 5e199
+        assert std_dev(ValueVector([1.7e308, 1.7e308])) == 0.0
+        assert std_dev(ValueVector([0.0, MAX_FLOAT])) == MAX_FLOAT / 2
+
+    @given(
+        vectors(min_size=1, max_size=30, positive=True),
+        st.integers(min_value=-12, max_value=0),
+    )
+    def test_scales_with_the_values_up_to_the_float_limit(self, v, headroom):
+        # headroom 0 puts the largest element just below the float limit
+        j = 1024 - math.frexp(max(v.values))[1] + headroom
+        scaled = [math.ldexp(x, j) for x in v.values]
+        assume(min(scaled) >= sys.float_info.min)  # no subnormal rounding
+        assert_close(std_dev(ValueVector(scaled)), math.ldexp(std_dev(v), j), rel=1e-12)
 
 class TestTheil:
     def test_theil_t_examples(self):
