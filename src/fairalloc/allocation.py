@@ -77,6 +77,10 @@ class DiscreteProblem:
     agents: tuple[Agent, ...]
     pieces: tuple[Piece, ...]
     inputs: ValueVector = field(init=False, compare=False, repr=False)
+    # Per piece, its amount and its bonus for each agent in agent order.
+    _gains: tuple[tuple[float, tuple[float, ...]], ...] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "agents", _checked_agents(self.agents))
@@ -91,12 +95,18 @@ class DiscreteProblem:
         total = math.fsum(p.amount for p in self.pieces)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"piece amounts must sum to 1, got {total!r}")
-        for agent in self.agents:
-            most = 0.0  # the agent's utility with every piece, summed as evaluate_discrete does
-            for piece in self.pieces:
-                most += piece.amount + piece.bonus.get(agent.id, 0.0)
-            if not math.isfinite(most):
-                raise ValueError(f"utility of agent {agent.id!r} with every piece is not finite")
+        gains = tuple(
+            (p.amount, tuple(p.bonus.get(a.id, 0.0) for a in self.agents)) for p in self.pieces
+        )
+        amounts = [amount for amount, _ in gains]
+        for i, agent in enumerate(self.agents):
+            try:  # the agent's utility with every piece, summed as evaluate_discrete does
+                math.fsum(amounts + [bonuses[i] for _, bonuses in gains])
+            except OverflowError:
+                raise ValueError(
+                    f"utility of agent {agent.id!r} with every piece is not finite"
+                ) from None
+        object.__setattr__(self, "_gains", gains)
         object.__setattr__(self, "inputs", ValueVector(a.input for a in self.agents))
 
 
@@ -162,21 +172,25 @@ def enumerate_discrete(problem: DiscreteProblem) -> list[DiscreteAllocation]:
 def evaluate_discrete(
     problem: DiscreteProblem, allocation: DiscreteAllocation
 ) -> AllocationContext:
-    """Outputs and utilities of one assignment; inputs pass through."""
+    """Outputs and utilities of one assignment; inputs pass through.
+
+    Each agent's amounts, and amounts plus bonuses, are summed exactly and
+    rounded once (``math.fsum``), so no order of pieces or agents changes them.
+    """
     if len(allocation.assignment) != len(problem.pieces):
         raise ValueError("allocation must assign every piece")
     n = len(problem.agents)
-    outputs = [0.0] * n
-    utilities = [0.0] * n
-    for piece, owner in zip(problem.pieces, allocation.assignment):
+    amounts = [[] for _ in range(n)]
+    bonuses = [[] for _ in range(n)]
+    for (amount, bonus), owner in zip(problem._gains, allocation.assignment):
         if not 0 <= owner < n:
             raise ValueError(f"agent index {owner} out of range")
-        outputs[owner] += piece.amount
-        utilities[owner] += piece.amount + piece.bonus.get(problem.agents[owner].id, 0.0)
+        amounts[owner].append(amount)
+        bonuses[owner].append(bonus[owner])
     return AllocationContext(
         inputs=problem.inputs,
-        outputs=ValueVector(outputs),
-        utilities=ValueVector(utilities),
+        outputs=ValueVector(map(math.fsum, amounts)),
+        utilities=ValueVector(math.fsum(a + b) for a, b in zip(amounts, bonuses)),
     )
 
 
@@ -185,7 +199,7 @@ def frontier_context(problem: ContinuousProblem, shares: ValueVector) -> Allocat
     if len(shares) != len(problem.agents):
         raise ValueError("one share per agent required")
     total = math.fsum(shares.values)
-    if abs(total - problem.total) > _FRONTIER_TOLERANCE:
+    if abs(total - problem.total) > _FRONTIER_TOLERANCE * max(1.0, problem.total):
         raise OffFrontierError(
             f"shares sum to {total!r}, expected {problem.total!r}"
         )

@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -131,8 +132,6 @@ def cmd_metrics(args) -> None:
         rows = [(str(metric), dispersion(metric, vector)) for metric in metrics]
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    except OverflowError:
-        raise ConfigError("NonFiniteScore: arithmetic overflow") from None
     except DomainError as err:  # a literal value list is input, not a candidate
         raise ConfigError(f"{err.name}: {err}") from None
     for _, value in rows:
@@ -253,6 +252,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         args.func(args)
+        sys.stdout.flush()
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -262,6 +262,13 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as err:
         print(f"error: {err.name}: {err}", file=sys.stderr)
         return EXIT_DOMAIN
+    except OSError as err:  # commands turn every other I/O failure into a ConfigError
+        print(f"error: cannot write stdout: {err}", file=sys.stderr)
+        # What stays buffered goes nowhere, so the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -8,6 +8,7 @@ rich-to-poor transfer never increases them).
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from .core import ValueVector, mean
 from .errors import (
     DegeneratePopulationError,
+    NonFiniteScoreError,
     ZeroBottomShareError,
     ZeroElementError,
     ZeroMeanError,
@@ -61,47 +63,54 @@ class DispersionMetric:
         return self.kind
 
 
+def _overflow_safe(degree: int):
+    # Only if the direct body overflows, recompute on v * 2^-k (exact; k is the exponent of
+    # the largest value) and scale back: statistic(c * v) == c**degree * statistic(v).
+    def declare(statistic):
+        @functools.wraps(statistic)
+        def safe(v: ValueVector, *args) -> float:
+            try:
+                return statistic(v, *args)
+            except OverflowError:
+                k = math.frexp(max(v.values))[1]
+                scaled = ValueVector(math.ldexp(x, -k) for x in v.values)
+            try:
+                return math.ldexp(statistic(scaled, *args), k * degree)
+            except OverflowError:  # an intermediate, not the sum, is past the range
+                raise NonFiniteScoreError("arithmetic overflow") from None
+        return safe
+    return declare
+
+
+@_overflow_safe(0)
 def gini(v: ValueVector) -> float:
     """Gini coefficient: mean absolute pairwise difference over 2n*sum.
 
     Computed from the sorted vector in O(n log n); equals the O(n^2)
     pairwise-sum definition.
     """
-    try:
-        total = math.fsum(v.values)
-    except OverflowError:
-        total = math.inf
+    total = math.fsum(v.values)
     if total == 0.0:
         raise ZeroSumError("gini undefined for an all-zero vector")
     n = len(v)
-    ordered = sorted(v.values)
     if math.isinf(n * total):  # covers the weighted sum too: it is at most n * total
-        # Scaling by a power of two is exact and gini is scale invariant.
-        return gini(_scaled_down(ordered)[0])
-    weighted = math.fsum((i + 1) * x for i, x in enumerate(ordered))
+        raise OverflowError("n * sum is past the float range")
+    weighted = math.fsum((i + 1) * x for i, x in enumerate(sorted(v.values)))
     # 2 * (w / d) has the bits of 2 * w / d, but 2 * w cannot overflow
     return max(0.0, 2.0 * (weighted / (n * total)) - (n + 1) / n)
-
-
-def _scaled_down(values) -> tuple[ValueVector, int]:
-    # (values * 2^-k, k), k the exponent of the largest value: the fallback of a
-    # statistic whose direct path overflows. The scaled values are below 1.
-    k = math.frexp(max(values))[1]
-    return ValueVector(math.ldexp(x, -k) for x in values), k
 
 
 def _power_mean(values: tuple[float, ...], p: float) -> float:
     # Normalize by max (p > 0) or min (p < 0) so x**p cannot overflow.
     if p > 0:
         ref = max(values)
-        if ref == 0.0:
-            return 0.0
     else:
         ref = min(values)
     acc = math.fsum((x / ref) ** p for x in values) / len(values)
     return ref * acc ** (1.0 / p)
 
 
+@_overflow_safe(0)
 def atkinson(v: ValueVector, epsilon: float) -> float:
     """Atkinson index: one minus the ratio of a generalized mean to the mean.
 
@@ -128,6 +137,7 @@ def atkinson(v: ValueVector, epsilon: float) -> float:
     return max(0.0, 1.0 - _power_mean(v.values, 1.0 - epsilon) / m)
 
 
+@_overflow_safe(0)
 def herfindahl_normalized(v: ValueVector) -> float:
     """Normalized Herfindahl index: (HH - 1/n) / (1 - 1/n), HH = sum of share^2."""
     n = len(v)
@@ -140,6 +150,7 @@ def herfindahl_normalized(v: ValueVector) -> float:
     return max(0.0, (hh - 1.0 / n) / (1.0 - 1.0 / n))
 
 
+@_overflow_safe(0)
 def hoover(v: ValueVector) -> float:
     """Hoover index: half the relative mean absolute deviation.
 
@@ -157,8 +168,6 @@ def _cumulative_share(ordered: list[float], total: float, fraction: float) -> fl
     # linearly interpolating the Lorenz polyline between rank points.
     pos = fraction * len(ordered)
     k = int(math.floor(pos))
-    if k >= len(ordered):
-        return 1.0
     held = math.fsum(ordered[:k]) + (pos - k) * ordered[k]
     return held / total
 
@@ -174,6 +183,7 @@ def palma_shares(v: ValueVector) -> tuple[float, float]:
     return bottom, top
 
 
+@_overflow_safe(0)
 def palma(v: ValueVector) -> float:
     """Palma ratio: share of the top 10% over share of the bottom 40%."""
     bottom, top = palma_shares(v)
@@ -182,21 +192,14 @@ def palma(v: ValueVector) -> float:
     return top / bottom
 
 
+@_overflow_safe(1)
 def std_dev(v: ValueVector) -> float:
     """Population standard deviation (square root of the biased variance)."""
-    try:
-        m = mean(v)
-        result = math.sqrt(math.fsum((x - m) ** 2 for x in v.values) / len(v))
-    except OverflowError:
-        result = math.inf
-    if math.isfinite(result):
-        return result
-    # Past the float range only on the way: scaling by a power of two is
-    # exact, and the std scales with the values.
-    scaled, k = _scaled_down(v.values)
-    return math.ldexp(std_dev(scaled), k)
+    m = mean(v)
+    return math.sqrt(math.fsum((x - m) ** 2 for x in v.values) / len(v))
 
 
+@_overflow_safe(0)
 def theil_t(v: ValueVector) -> float:
     """Theil T index: (1/n) * sum (x/mean) ln(x/mean); 0 ln 0, also of an underflow, is 0."""
     m = mean(v)
@@ -206,6 +209,7 @@ def theil_t(v: ValueVector) -> float:
     return max(0.0, acc / len(v))
 
 
+@_overflow_safe(0)
 def theil_l(v: ValueVector) -> float:
     """Theil L index (mean log deviation): (1/n) * sum ln(mean/x)."""
     if any(x == 0.0 for x in v.values):

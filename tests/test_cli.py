@@ -426,6 +426,18 @@ ERROR_CONTRACT = [
      "std_dev  5e+199"),
     ("metrics-gini-overflow", ["metrics", "--values", "1.7e308,1.7e308", "--metric", "gini"], 0,
      "gini  0"),
+    *[(f"metrics-{name}-overflow", ["metrics", "--values", "1.7e308,1.7e308", "--metric", name],
+       0, f"{name}  {value}")
+      for name, value in [("hoover", "0"), ("herfindahl", "0"), ("palma", "0.25"),
+                          ("theil_t", "0"), ("theil_l", "0"), ("atkinson(0.5)", "0")]],
+    # the rescale flushes the subnormal element to zero
+    ("metrics-atkinson-overflow-subnormal",
+     ["metrics", "--values", "5e-324,1.7e308,1.7e308", "--metric", "atkinson(2)"], 2,
+     "error: ZeroElement: atkinson with epsilon=2 needs strictly positive values"),
+    # the power mean overflows on the rescaled values too
+    ("metrics-atkinson-power-mean-overflow",
+     ["metrics", "--values", ",".join(["1e-160"] + ["1e160"] * 9),
+      "--metric", "atkinson(1.0000001)"], 2, "error: NonFiniteScore: arithmetic overflow"),
     ("evaluate-resolution-cake", ["evaluate", "--preset", "cake", "--resolution", "1"], 2,
      "error: --resolution must be >= 2"),
     ("evaluate-resolution-fishermen",
@@ -514,3 +526,28 @@ class TestEntryPoint:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"error: {path}: invalid JSON: maximum recursion depth")
+
+    @pytest.mark.parametrize("target, reason", [
+        ("full", "[Errno 28] No space left on device"),
+        ("closed-pipe", "[Errno 32] Broken pipe"),
+    ], ids=["full", "closed-pipe"])
+    def test_failed_stdout_write_reports_one_error_line(self, target, reason):
+        if target == "full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full on this platform")
+            stdout = os.open("/dev/full", os.O_WRONLY)
+        else:
+            read_end, stdout = os.pipe()
+            os.close(read_end)  # closed before the spawn, so every write breaks the pipe
+        src = str(Path(fairalloc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fairalloc", "evaluate", "--preset", "fishermen"],
+                stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(stdout)
+        assert (proc.returncode, proc.stderr) == (2, f"error: cannot write stdout: {reason}\n")

@@ -103,12 +103,14 @@ class TestSenFoster:
         assert_close(sen(ValueVector([3.5, 3.5])), 3.5)
         assert_close(sen(ValueVector([7, 0])), 1.75)
         assert_close(sen(ValueVector([4, 4, 4])), 4.0)
+        assert sen(ValueVector([1.7e308, 1.7e308])) == 1.7e308  # the sum overflows
 
     def test_foster_examples(self):
         assert_close(foster(ValueVector([3.5, 3.5])), 3.5)
         expected = 2 * math.exp(-oracles.theil_t_direct([1, 3]))
         assert_close(foster(ValueVector([1, 3])), expected)
         assert_close(foster(ValueVector([0, 2])), 0.5)
+        assert foster(ValueVector([1.7e308, 1.7e308])) == 1.7e308  # the sum overflows
 
     @given(vectors(min_size=2, max_size=20, positive=True))
     def test_equal_vector_maximizes_at_fixed_mean(self, y):
