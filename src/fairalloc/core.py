@@ -8,6 +8,7 @@ population is an :class:`AllocationContext`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -88,9 +89,43 @@ class AllocationContext:
             )
 
 
+def _rescaled(statistic, v: ValueVector, degree: int, *args) -> float:
+    # statistic(v) recomputed on v * 2^-k (exact; k is the exponent of the largest value)
+    # and scaled back: statistic(c * v) == c**degree * statistic(v).
+    k = math.frexp(max(v.values))[1]
+    scaled = ValueVector(math.ldexp(x, -k) for x in v.values)
+    return math.ldexp(statistic(scaled, *args), k * degree)
+
+
+def overflow_safe(degree: int):
+    """Declare that a statistic of the given degree survives an overflow on the way.
+
+    Only if the direct body raises ``OverflowError`` is it recomputed on the
+    values scaled down by a power of two; an overflow on the scaled values too
+    raises :class:`NonFiniteScoreError`.
+    """
+    def declare(statistic):
+        @functools.wraps(statistic)
+        def safe(v: ValueVector, *args) -> float:
+            try:
+                return statistic(v, *args)
+            except OverflowError:
+                pass
+            try:
+                return _rescaled(statistic, v, degree, *args)
+            except OverflowError:  # an intermediate, not the sum, is past the range
+                raise NonFiniteScoreError("arithmetic overflow") from None
+        return safe
+    return declare
+
+
 def mean(v: ValueVector) -> float:
-    """Arithmetic mean of the elements."""
-    return math.fsum(v.values) / len(v)
+    """Arithmetic mean of the elements; finite even where their sum is not."""
+    # Not declared overflow_safe: the wrapper's frame would cost every caller.
+    try:
+        return math.fsum(v.values) / len(v)
+    except OverflowError:
+        return _rescaled(mean, v, 1)
 
 
 def threshold_share(v: ValueVector, threshold: float) -> float:

@@ -8,15 +8,13 @@ rich-to-poor transfer never increases them).
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass
 
-from .core import ValueVector, mean
+from .core import ValueVector, mean, overflow_safe
 from .errors import (
     DegeneratePopulationError,
-    NonFiniteScoreError,
     ZeroBottomShareError,
     ZeroElementError,
     ZeroMeanError,
@@ -59,30 +57,16 @@ class DispersionMetric:
 
     def __str__(self) -> str:
         if self.kind == "atkinson":
-            return f"atkinson({self.epsilon:g})"
+            return f"atkinson({_epsilon_text(self.epsilon)})"
         return self.kind
 
 
-def _overflow_safe(degree: int):
-    # Only if the direct body overflows, recompute on v * 2^-k (exact; k is the exponent of
-    # the largest value) and scale back: statistic(c * v) == c**degree * statistic(v).
-    def declare(statistic):
-        @functools.wraps(statistic)
-        def safe(v: ValueVector, *args) -> float:
-            try:
-                return statistic(v, *args)
-            except OverflowError:
-                k = math.frexp(max(v.values))[1]
-                scaled = ValueVector(math.ldexp(x, -k) for x in v.values)
-            try:
-                return math.ldexp(statistic(scaled, *args), k * degree)
-            except OverflowError:  # an intermediate, not the sum, is past the range
-                raise NonFiniteScoreError("arithmetic overflow") from None
-        return safe
-    return declare
+def _epsilon_text(epsilon: float) -> str:
+    # The shortest text that parses back to the same float, without a trailing ".0".
+    return repr(epsilon).removesuffix(".0")
 
 
-@_overflow_safe(0)
+@overflow_safe(0)
 def gini(v: ValueVector) -> float:
     """Gini coefficient: mean absolute pairwise difference over 2n*sum.
 
@@ -110,7 +94,7 @@ def _power_mean(values: tuple[float, ...], p: float) -> float:
     return ref * acc ** (1.0 / p)
 
 
-@_overflow_safe(0)
+@overflow_safe(0)
 def atkinson(v: ValueVector, epsilon: float) -> float:
     """Atkinson index: one minus the ratio of a generalized mean to the mean.
 
@@ -126,18 +110,18 @@ def atkinson(v: ValueVector, epsilon: float) -> float:
     if epsilon == 0.0:
         return 0.0
     if math.isinf(epsilon):
-        return 1.0 - min(v.values) / m
+        return max(0.0, 1.0 - min(v.values) / m)
     if epsilon >= 1.0 and any(x == 0.0 for x in v.values):
         raise ZeroElementError(
-            f"atkinson with epsilon={epsilon:g} needs strictly positive values"
+            f"atkinson with epsilon={_epsilon_text(epsilon)} needs strictly positive values"
         )
     if epsilon == 1.0:
         log_gm = math.fsum(math.log(x) for x in v.values) / len(v)
-        return 1.0 - math.exp(log_gm) / m
+        return max(0.0, 1.0 - math.exp(log_gm) / m)
     return max(0.0, 1.0 - _power_mean(v.values, 1.0 - epsilon) / m)
 
 
-@_overflow_safe(0)
+@overflow_safe(0)
 def herfindahl_normalized(v: ValueVector) -> float:
     """Normalized Herfindahl index: (HH - 1/n) / (1 - 1/n), HH = sum of share^2."""
     n = len(v)
@@ -150,7 +134,7 @@ def herfindahl_normalized(v: ValueVector) -> float:
     return max(0.0, (hh - 1.0 / n) / (1.0 - 1.0 / n))
 
 
-@_overflow_safe(0)
+@overflow_safe(0)
 def hoover(v: ValueVector) -> float:
     """Hoover index: half the relative mean absolute deviation.
 
@@ -183,7 +167,7 @@ def palma_shares(v: ValueVector) -> tuple[float, float]:
     return bottom, top
 
 
-@_overflow_safe(0)
+@overflow_safe(0)
 def palma(v: ValueVector) -> float:
     """Palma ratio: share of the top 10% over share of the bottom 40%."""
     bottom, top = palma_shares(v)
@@ -192,14 +176,13 @@ def palma(v: ValueVector) -> float:
     return top / bottom
 
 
-@_overflow_safe(1)
+@overflow_safe(1)
 def std_dev(v: ValueVector) -> float:
     """Population standard deviation (square root of the biased variance)."""
     m = mean(v)
     return math.sqrt(math.fsum((x - m) ** 2 for x in v.values) / len(v))
 
 
-@_overflow_safe(0)
 def theil_t(v: ValueVector) -> float:
     """Theil T index: (1/n) * sum (x/mean) ln(x/mean); 0 ln 0, also of an underflow, is 0."""
     m = mean(v)
@@ -209,7 +192,6 @@ def theil_t(v: ValueVector) -> float:
     return max(0.0, acc / len(v))
 
 
-@_overflow_safe(0)
 def theil_l(v: ValueVector) -> float:
     """Theil L index (mean log deviation): (1/n) * sum ln(mean/x)."""
     if any(x == 0.0 for x in v.values):

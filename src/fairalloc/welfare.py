@@ -14,7 +14,7 @@ import math
 from typing import Sequence
 
 from .core import ValueVector, mean
-from .dispersion import _overflow_safe, gini, theil_t
+from .dispersion import gini, theil_t
 from .errors import NonFiniteScoreError, WeightMismatchError, ZeroElementError
 
 RHO_INF = math.inf
@@ -71,13 +71,11 @@ def rawlsian(u: ValueVector) -> float:
     return min(u.values)
 
 
-@_overflow_safe(1)
 def sen(y: ValueVector) -> float:
     """Sen welfare: mean output discounted by inequality, mean * (1 - Gini)."""
     return mean(y) * (1.0 - gini(y))
 
 
-@_overflow_safe(1)
 def foster(y: ValueVector) -> float:
     """Foster welfare: mean output discounted by Theil T, mean * exp(-T)."""
     return mean(y) * math.exp(-theil_t(y))

@@ -392,6 +392,12 @@ CONTRACT_FILES = {
     "cake-zero-weights.json": json.dumps(_cake(aggregation={"weights": {
         spec["principle"]: 0 for spec in get_preset("cake")["principles"]
     }})),
+    "harsanyian-overflow.json": json.dumps({
+        "kind": "discrete",
+        "agents": [{"id": "A", "input": 1.0}, {"id": "B", "input": 1.0}],
+        "pieces": [{"amount": 0.5, "bonus": {"A": 1e308}}, {"amount": 0.5, "bonus": {"B": 1e308}}],
+        "principles": [{"principle": "difference", "variant": "harsanyian", "basis": "utility"}],
+    }),
     "blowup.json": json.dumps({
         "kind": "discrete",
         "agents": [{"id": "A", "input": 1.0}, {"id": "B", "input": 1.0}],
@@ -430,14 +436,17 @@ ERROR_CONTRACT = [
        0, f"{name}  {value}")
       for name, value in [("hoover", "0"), ("herfindahl", "0"), ("palma", "0.25"),
                           ("theil_t", "0"), ("theil_l", "0"), ("atkinson(0.5)", "0")]],
-    # the rescale flushes the subnormal element to zero
+    # the sum overflows, but only the mean is rescaled: the subnormal element stays positive
     ("metrics-atkinson-overflow-subnormal",
-     ["metrics", "--values", "5e-324,1.7e308,1.7e308", "--metric", "atkinson(2)"], 2,
-     "error: ZeroElement: atkinson with epsilon=2 needs strictly positive values"),
+     ["metrics", "--values", "5e-324,1.7e308,1.7e308", "--metric", "atkinson(2)"], 0,
+     "atkinson(2)  1"),
     # the power mean overflows on the rescaled values too
     ("metrics-atkinson-power-mean-overflow",
      ["metrics", "--values", ",".join(["1e-160"] + ["1e160"] * 9),
       "--metric", "atkinson(1.0000001)"], 2, "error: NonFiniteScore: arithmetic overflow"),
+    # the statistic itself is infinite: top / bottom share is past the float range
+    ("metrics-palma-infinite", ["metrics", "--values", "5e-324,1", "--metric", "palma"], 2,
+     "error: NonFiniteScore: non-finite value inf"),
     ("evaluate-resolution-cake", ["evaluate", "--preset", "cake", "--resolution", "1"], 2,
      "error: --resolution must be >= 2"),
     ("evaluate-resolution-fishermen",
@@ -471,6 +480,25 @@ ERROR_CONTRACT = [
      "NonFiniteScore: non-finite score inf"),
     ("evaluate-huge-bonus", ["evaluate", "--config", "{tmp}/cake-huge-bonus.json"], 2,
      "error: $.pieces: utility of agent 'A' with every piece is not finite"),
+    # scenario 2's utilities sum past the float range; their mean does not
+    ("evaluate-harsanyian-overflow", ["evaluate", "--config", "{tmp}/harsanyian-overflow.json"],
+     0, """Candidates:
+  scenario 1  y=[1, 0] u=[1e+308, 0]
+  scenario 2  y=[0.5, 0.5] u=[1e+308, 1e+308]
+  scenario 3  y=[0.5, 0.5] u=[0.5, 0.5]
+  scenario 4  y=[0, 1] u=[0, 1e+308]
+
+Principle difference (maximize):
+  scenario 1  score=5e+307 rank=2
+  scenario 2  score=1e+308 rank=1
+  scenario 3  score=0.5 rank=4
+  scenario 4  score=5e+307 rank=2
+
+Combined ranking (weighted Borda):
+  1. scenario 2 points=3
+  2. scenario 1 points=2
+  3. scenario 4 points=2
+  4. scenario 3 points=0"""),
     ("evaluate-all-zero-aggregation-weights",
      ["evaluate", "--config", "{tmp}/cake-zero-weights.json"], 2,
      "error: $.aggregation.weights: at least one weight must be positive"),

@@ -9,6 +9,7 @@ from conftest import assert_close, is_constant, scale, vectors
 from fairalloc import (
     DegeneratePopulationError,
     DispersionMetric,
+    DomainError,
     ValueVector,
     ZeroBottomShareError,
     ZeroElementError,
@@ -19,12 +20,14 @@ from fairalloc import (
     gini,
     herfindahl_normalized,
     hoover,
+    mean,
     palma,
     palma_shares,
     std_dev,
     theil_l,
     theil_t,
 )
+from fairalloc.dispersion import METRIC_KINDS
 
 INF = math.inf
 MAX_FLOAT = sys.float_info.max
@@ -59,7 +62,7 @@ ALL_METRICS = {
 @pytest.mark.parametrize(
     # exp(mean(log)) in atkinson(1) and (x - m) ** 2 in std_dev go through libm, which may
     # round differently at each scale (TestStdDev checks std_dev's scaling to 1e-12)
-    "name", [name for name in ALL_METRICS if name not in ("atkinson(1)", "std_dev")]
+    "name", [name for name in ALL_METRICS if name not in ("atkinson(1)", "std_dev")] + ["mean"]
 )
 @given(
     vectors(min_size=2, max_size=30, positive=True),
@@ -71,8 +74,8 @@ def test_power_of_two_scaling_keeps_every_bit(name, v, headroom):
     j = 1024 - math.frexp(max(v.values))[1] + headroom
     scaled = [math.ldexp(x, j) for x in v.values]
     assume(min(scaled) >= sys.float_info.min)  # no subnormal rounding
-    metric = ALL_METRICS[name]
-    assert metric(ValueVector(scaled)) == metric(v)
+    metric, degree = (mean, 1) if name == "mean" else (ALL_METRICS[name], 0)
+    assert metric(ValueVector(scaled)) == math.ldexp(metric(v), j * degree)
 
 
 class TestGini:
@@ -119,6 +122,27 @@ class TestAtkinson:
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):
             atkinson(ValueVector([1, 2]), -0.1)
+
+    def test_zero_element_message_names_the_exact_epsilon(self):
+        with pytest.raises(ZeroElementError) as err:
+            atkinson(ValueVector([0, 1]), 1.0000001)
+        assert str(err.value) == "atkinson with epsilon=1.0000001 needs strictly positive values"
+
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=MAX_FLOAT), min_size=1, max_size=20)
+        .map(ValueVector)
+        | st.builds(lambda x, n: ValueVector([x] * n),
+                    st.floats(min_value=0.0, max_value=MAX_FLOAT), st.integers(1, 20)),
+        st.sampled_from([0.5, 1.0, 2.0, INF]) | st.floats(min_value=0.0),
+    )
+    def test_never_negative(self, v, eps):
+        # exp(mean(log x)) for epsilon 1, and the mean for epsilon inf, can round past the mean
+        # or the minimum; constant vectors are where that shows
+        try:
+            value = atkinson(v, eps)
+        except DomainError:
+            return
+        assert value >= 0.0
 
     @given(vectors(min_size=2, max_size=20, positive=True))
     def test_matches_textbook_formula(self, v):
@@ -257,8 +281,16 @@ class TestDispatch:
             DispersionMetric("gini", 0.5)
 
     def test_str_round_trips(self):
-        for name in ("gini", "atkinson(0.5)", "theil_l"):
+        for name in ("gini", "atkinson(0.5)", "atkinson(1)", "atkinson(inf)", "theil_l",
+                     "atkinson(1.0000001)", "atkinson(0.1234567)"):
             assert str(DispersionMetric.parse(name)) == name
+
+    @given(
+        st.sampled_from(METRIC_KINDS).filter(lambda kind: kind != "atkinson").map(DispersionMetric)
+        | st.floats(min_value=0.0).map(lambda eps: DispersionMetric("atkinson", eps))
+    )
+    def test_parse_inverts_str(self, metric):
+        assert DispersionMetric.parse(str(metric)) == metric
 
 
 class TestSharedProperties:

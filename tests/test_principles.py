@@ -15,6 +15,7 @@ from fairalloc import (
     AllocationContext,
     DispersionMetric,
     DomainError,
+    NonFiniteScoreError,
     PrincipleSpec,
     ValueVector,
     ZeroInputError,
@@ -171,6 +172,13 @@ class TestSpecValidation:
              "threshold is required for sufficiency and only there"),
             ({"principle": "equality", "variant": "noop"},
              "principle 'equality' has no variant 'noop'"),
+            ({"principle": "nope"}, "unknown principle 'nope'"),
+            ({"principle": "equality", "mode": "nope"}, "unknown mode 'nope'"),
+            ({"principle": "difference", "basis": "input"}, "unknown basis 'input'"),
+            ({"principle": "sufficiency", "threshold": math.inf}, "threshold must be finite"),
+            ({"principle": "greater_good", "mode": DIORTHOTIC, "rho": -1.0}, "rho must be >= 0"),
+            ({"principle": "greater_good", "mode": DIORTHOTIC, "rho": math.nan},
+             "rho must be >= 0"),
         ],
     )
     def test_older_refusals_keep_their_message(self, kwargs, message):
@@ -205,6 +213,13 @@ class TestScoringTable:
         result = score(spec, SCENARIO4_CTX)
         assert result.value == expected
         assert result.direction == direction(spec) == MAXIMIZE
+
+    def test_isoelastic_overflow_is_non_finite(self):
+        # (1e-3) ** (1 - 200) raises OverflowError inside isoelastic
+        spec = _spec("greater_good", mode=DIORTHOTIC, rho=200.0)
+        with pytest.raises(NonFiniteScoreError) as err:
+            score(spec, _ctx([1, 1], [1, 1], [1e-3, 1]))
+        assert str(err.value) == "arithmetic overflow"
 
 
 class TestDianemetic:
