@@ -42,14 +42,12 @@ from .dispersion import (
 )
 from .errors import (
     AllZeroWeightsError,
-    CombinatorialBlowupError,
     ConfigError,
     DegeneratePopulationError,
     DomainError,
     NonFiniteScoreError,
     OffFrontierError,
     ScoringError,
-    UnsupportedPopulationError,
     WeightMismatchError,
     ZeroBottomShareError,
     ZeroElementError,

@@ -18,12 +18,10 @@ from typing import Mapping, Sequence
 from .core import Agent, AllocationContext, ValueVector
 from .errors import (
     AllZeroWeightsError,
-    CombinatorialBlowupError,
     DomainError,
     NonFiniteScoreError,
     OffFrontierError,
     ScoringError,
-    UnsupportedPopulationError,
 )
 from .principles import (
     BASIS_INPUT,
@@ -87,6 +85,11 @@ class DiscreteProblem:
         object.__setattr__(self, "pieces", tuple(self.pieces))
         if not self.pieces:
             raise ValueError("a discrete problem needs at least one piece")
+        n_agents, n_pieces = len(self.agents), len(self.pieces)
+        if (count := n_agents**n_pieces) > ENUMERATION_CAP:
+            raise ValueError(
+                f"{n_agents}^{n_pieces} = {count} allocations exceed the cap of {ENUMERATION_CAP}"
+            )
         ids = {a.id for a in self.agents}
         for i, piece in enumerate(self.pieces):
             unknown = set(piece.bonus) - ids
@@ -119,7 +122,7 @@ class DiscreteAllocation:
 
 @dataclass(frozen=True)
 class ContinuousProblem:
-    """A divisible total split between agents; utility is retention * share.
+    """A divisible total split between two agents; utility is retention * share.
 
     The retention factor models per-agent losses between allocation and
     consumption (a factor of 1 means nothing is lost).
@@ -134,6 +137,10 @@ class ContinuousProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "agents", _checked_agents(self.agents))
+        if len(self.agents) != 2:  # the frontier is then one-dimensional
+            raise ValueError(
+                f"a continuous problem splits its total between two agents, got {len(self.agents)}"
+            )
         object.__setattr__(self, "retention", MappingProxyType(dict(self.retention)))
         if not math.isfinite(self.total) or self.total <= 0.0:
             raise ValueError("total must be finite and > 0")
@@ -155,17 +162,9 @@ class ContinuousProblem:
 
 def enumerate_discrete(problem: DiscreteProblem) -> list[DiscreteAllocation]:
     """All complete assignments in lexicographic order of assignment vectors."""
-    n_agents = len(problem.agents)
-    n_pieces = len(problem.pieces)
-    count = n_agents**n_pieces
-    if count > ENUMERATION_CAP:
-        raise CombinatorialBlowupError(
-            f"{n_agents}^{n_pieces} = {count} allocations exceed the cap of "
-            f"{ENUMERATION_CAP}"
-        )
     return [
         DiscreteAllocation(assignment)
-        for assignment in itertools.product(range(n_agents), repeat=n_pieces)
+        for assignment in itertools.product(range(len(problem.agents)), repeat=len(problem.pieces))
     ]
 
 
@@ -231,10 +230,6 @@ def optimize_frontier(
     and a plateau reports its left end. ``resolution`` is checked but does
     not change the result.
     """
-    if len(problem.agents) != 2:
-        raise UnsupportedPopulationError(
-            "frontier optimization supports exactly two agents"
-        )
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     total = problem.total
@@ -294,8 +289,6 @@ def heatmap(
     as one column of the basis vector the spec reads, streamed cell by cell;
     an input-based principle (equality of opportunity) is scored once.
     """
-    if len(problem.agents) != 2:
-        raise UnsupportedPopulationError("heatmaps support exactly two agents")
     if grid < 1:
         raise ValueError("grid must be >= 1")
     total = problem.total
@@ -394,7 +387,16 @@ def build_ranking(
     specs: Sequence[PrincipleSpec],
     weights: Sequence[float],
 ) -> RankingTable:
-    """Score every candidate under every principle and rank them."""
+    """Score every candidate under every principle and rank them.
+
+    ``candidates`` labels ``contexts`` one to one; the labels must be unique.
+    """
+    if len(candidates) != len(contexts):
+        raise ValueError(
+            f"{len(contexts)} candidates need {len(contexts)} labels, got {len(candidates)}"
+        )
+    if len(set(candidates)) != len(candidates):
+        raise ValueError("candidate labels must be unique")
     scores: list[tuple[float, ...]] = []
     directions: list[str] = []
     ranks: list[tuple[int, ...]] = []
@@ -433,11 +435,6 @@ def discrete_ranking(
     allocations = enumerate_discrete(problem)
     if labels is None:
         labels = [f"scenario {i + 1}" for i in range(len(allocations))]
-    elif len(labels) != len(allocations):
-        raise ValueError(
-            f"{len(allocations)} allocations need {len(allocations)} labels, "
-            f"got {len(labels)}"
-        )
     contexts = [evaluate_discrete(problem, a) for a in allocations]
     return build_ranking(labels, contexts, principle_labels, specs, weights)
 

@@ -90,8 +90,13 @@ def _power_mean(values: tuple[float, ...], p: float) -> float:
         ref = max(values)
     else:
         ref = min(values)
-    acc = math.fsum((x / ref) ** p for x in values) / len(values)
-    return ref * acc ** (1.0 / p)
+    try:
+        acc = math.fsum((x / ref) ** p for x in values) / len(values)
+        return ref * acc ** (1.0 / p)
+    except OverflowError:  # acc ** (1 / p) for p just below 0; x / ref may be inf too
+        log_ref = math.log(ref)
+        acc = math.fsum(math.exp(p * (math.log(x) - log_ref)) for x in values) / len(values)
+        return math.exp(log_ref + math.log(acc) / p)
 
 
 @overflow_safe(0)
@@ -198,6 +203,8 @@ def theil_l(v: ValueVector) -> float:
         raise ZeroElementError("Theil L diverges on zero elements")
     m = mean(v)
     acc = math.fsum(math.log(m / x) for x in v.values)
+    if math.isinf(acc):  # m / x overflowed, but ln m - ln x is finite
+        acc = math.fsum(math.log(m) - math.log(x) for x in v.values)
     return max(0.0, acc / len(v))
 
 

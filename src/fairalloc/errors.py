@@ -49,14 +49,6 @@ class OffFrontierError(DomainError):
     """Shares do not exhaust the divisible total."""
 
 
-class UnsupportedPopulationError(DomainError):
-    """Continuous optimization supports two agents only."""
-
-
-class CombinatorialBlowupError(DomainError):
-    """Discrete enumeration would exceed the configured cap."""
-
-
 class NonFiniteScoreError(DomainError):
     """A score or ratio is not a finite float: it overflowed, or is NaN or infinite."""
 

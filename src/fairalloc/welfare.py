@@ -50,7 +50,8 @@ def isoelastic(u: ValueVector, weights: Sequence[float] | None, rho: float) -> f
         return math.fsum(wi * xi for wi, xi in zip(w, u.values))
     if rho >= 1.0 and any(x == 0.0 for x in u.values):
         raise ZeroElementError(
-            f"isoelastic welfare with rho={rho:g} needs positive utilities"
+            # the shortest text that parses back to rho, without a trailing ".0"
+            f"isoelastic welfare with rho={repr(rho).removesuffix('.0')} needs positive utilities"
         )
     if rho == 1.0:
         try:

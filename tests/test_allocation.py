@@ -13,7 +13,6 @@ from fairalloc import (
     MINIMIZE,
     Agent,
     AllZeroWeightsError,
-    CombinatorialBlowupError,
     ContinuousProblem,
     DiscreteAllocation,
     DiscreteProblem,
@@ -24,9 +23,9 @@ from fairalloc import (
     Piece,
     PrincipleSpec,
     ScoringError,
-    UnsupportedPopulationError,
     ValueVector,
     aggregate_ranks,
+    build_ranking,
     continuous_ranking,
     direction,
     discrete_ranking,
@@ -75,8 +74,11 @@ class TestEnumeration:
         assert [a.assignment for a in allocations] == expected
 
     def test_cap(self):
-        with pytest.raises(CombinatorialBlowupError):
-            enumerate_discrete(simple_discrete(2, 20))  # 2^20 > ENUMERATION_CAP
+        # refused when the problem is built, so enumeration never meets it
+        simple_discrete(10, 6)  # 10^6 allocations: exactly ENUMERATION_CAP
+        with pytest.raises(ValueError) as err:
+            simple_discrete(2, 20)
+        assert str(err.value) == "2^20 = 1048576 allocations exceed the cap of 1000000"
 
     @given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=4))
     def test_completeness(self, n_agents, n_pieces):
@@ -227,13 +229,14 @@ class TestOptimizeFrontier:
         assert_close(value, 6.65)
 
     def test_two_agents_only(self):
-        agents = tuple(Agent(id=f"a{i}", input=1.0) for i in range(3))
-        problem = ContinuousProblem(
-            agents=agents, total=1.0, retention={a.id: 1.0 for a in agents}
-        )
-        spec = PrincipleSpec(principle="greater_good", mode=DIORTHOTIC)
-        with pytest.raises(UnsupportedPopulationError):
-            optimize_frontier(problem, spec, 11)
+        # refused when the problem is built, so the optimizer never meets it
+        for n in (1, 3):
+            agents = tuple(Agent(id=f"a{i}", input=1.0) for i in range(n))
+            with pytest.raises(ValueError) as err:
+                ContinuousProblem(agents=agents, total=1.0, retention={a.id: 1.0 for a in agents})
+            assert str(err.value) == (
+                f"a continuous problem splits its total between two agents, got {n}"
+            )
 
     def test_resolution_floor(self):
         spec = PrincipleSpec(principle="greater_good", mode=DIORTHOTIC)
@@ -439,6 +442,20 @@ class TestRanking:
         assert rank1["equality"] == {"scenario 3"}
         assert rank1["proportion"] == {"scenario 1"}
         assert rank1["sufficiency"] == {"scenario 3", "scenario 4", "scenario 5"}
+
+    def test_labels_match_contexts_one_to_one(self):
+        cfg = load_preset("cake")
+        contexts = [evaluate_discrete(cfg.problem, a) for a in enumerate_discrete(cfg.problem)]
+        rest = (cfg.principle_labels, cfg.specs, cfg.weights)
+        with pytest.raises(ValueError) as err:
+            build_ranking(["only"], contexts, *rest)
+        assert str(err.value) == "8 candidates need 8 labels, got 1"
+        with pytest.raises(ValueError, match="8 candidates need 8 labels, got 1"):
+            discrete_ranking(cfg.problem, *rest, labels=["only"])
+        labels = [f"s{i}" for i in range(7)] + ["s0"]
+        with pytest.raises(ValueError) as err:
+            build_ranking(labels, contexts, *rest)
+        assert str(err.value) == "candidate labels must be unique"
 
     @given(
         st.lists(st.integers(min_value=0, max_value=100).map(float), min_size=2, max_size=12),

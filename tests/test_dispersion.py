@@ -27,7 +27,7 @@ from fairalloc import (
     theil_l,
     theil_t,
 )
-from fairalloc.dispersion import METRIC_KINDS
+from fairalloc.dispersion import METRIC_KINDS, _power_mean
 
 INF = math.inf
 MAX_FLOAT = sys.float_info.max
@@ -127,6 +127,16 @@ class TestAtkinson:
         with pytest.raises(ZeroElementError) as err:
             atkinson(ValueVector([0, 1]), 1.0000001)
         assert str(err.value) == "atkinson with epsilon=1.0000001 needs strictly positive values"
+
+    def test_power_mean_past_the_float_range(self):
+        # order 1 - epsilon = -1e-7: the power mean over the minimum is past the float range,
+        # so it is redone in log space; the references are 50-digit evaluations
+        assert atkinson(ValueVector([1e-160] + [1e160] * 9), 1.0000001) == 1.0
+        assert atkinson(ValueVector([5e-324, 1.7e308, 1.7e308]), 1.0000001) == 1.0
+        assert_close(_power_mean((1e-160,) + (1e160,) * 9, -1e-7), 9.975598194388956e127,
+                     rel=1e-8)
+        assert_close(_power_mean((5e-324, 1.7e308, 1.7e308), 1.0 - 1.0000001),
+                     5.105324342500236e97, rel=1e-8)
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=MAX_FLOAT), min_size=1, max_size=20)
@@ -246,6 +256,13 @@ class TestTheil:
         assert_close(theil_l(ValueVector([1, 3])), (math.log(2) + math.log(2 / 3)) / 2)
         with pytest.raises(ZeroElementError):
             theil_l(ValueVector([0, 1]))
+
+    def test_theil_l_finite_where_mean_over_x_overflows(self):
+        # 0.5 / 5e-324 is past the float range; ln 0.5 - ln 5e-324 is not
+        assert_close(
+            theil_l(ValueVector([5e-324, 1.0])),
+            (2 * math.log(0.5) - math.log(5e-324)) / 2,
+        )
 
     def test_theil_t_share_underflow_counts_as_zero(self):
         # 5e-324 / 5e299 underflows to 0 and counts as 0 ln 0

@@ -62,6 +62,12 @@ class TestIsoelastic:
             with pytest.raises(ZeroElementError):
                 isoelastic(ValueVector([0.0, 1.0]), [1, 1], rho)
 
+    def test_zero_element_message_names_the_exact_rho(self):
+        for rho, text in ((1.0000001, "1.0000001"), (2.0, "2")):
+            with pytest.raises(ZeroElementError) as err:
+                isoelastic(ValueVector([0.0, 1.0]), None, rho)
+            assert str(err.value) == f"isoelastic welfare with rho={text} needs positive utilities"
+
     def test_weight_mismatch(self):
         with pytest.raises(WeightMismatchError):
             isoelastic(ValueVector([1, 2]), [1], 0.0)
