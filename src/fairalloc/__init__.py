@@ -41,12 +41,10 @@ from .dispersion import (
     theil_t,
 )
 from .errors import (
-    AllZeroWeightsError,
     ConfigError,
     DegeneratePopulationError,
     DomainError,
     NonFiniteScoreError,
-    OffFrontierError,
     ScoringError,
     WeightMismatchError,
     ZeroBottomShareError,

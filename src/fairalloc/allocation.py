@@ -16,13 +16,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .core import Agent, AllocationContext, ValueVector
-from .errors import (
-    AllZeroWeightsError,
-    DomainError,
-    NonFiniteScoreError,
-    OffFrontierError,
-    ScoringError,
-)
+from .errors import DomainError, NonFiniteScoreError, ScoringError
 from .principles import (
     BASIS_INPUT,
     BASIS_UTILITY,
@@ -199,9 +193,7 @@ def frontier_context(problem: ContinuousProblem, shares: ValueVector) -> Allocat
         raise ValueError("one share per agent required")
     total = math.fsum(shares.values)
     if abs(total - problem.total) > _FRONTIER_TOLERANCE * max(1.0, problem.total):
-        raise OffFrontierError(
-            f"shares sum to {total!r}, expected {problem.total!r}"
-        )
+        raise ValueError(f"shares sum to {total!r}, expected {problem.total!r}")
     return _share_context(problem, shares)
 
 
@@ -216,7 +208,7 @@ def _share_context(problem: ContinuousProblem, shares: ValueVector) -> Allocatio
 
 
 def optimize_frontier(
-    problem: ContinuousProblem, spec: PrincipleSpec, resolution: int
+    problem: ContinuousProblem, spec: PrincipleSpec, resolution: int | None = None
 ) -> tuple[ValueVector, float]:
     """Best frontier split for one principle, by a scan of the breakpoints.
 
@@ -227,11 +219,8 @@ def optimize_frontier(
     The breakpoints are scored in ascending t, then one ternary search runs
     on each piece between them. A point replaces the best only if it scores
     strictly better, so ties go to a breakpoint and then to the smaller t,
-    and a plateau reports its left end. ``resolution`` is checked but does
-    not change the result.
+    and a plateau reports its left end. ``resolution`` has no effect.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
     total = problem.total
     sign = -1.0 if principle_direction(spec) == MINIMIZE else 1.0
 
@@ -261,6 +250,8 @@ def optimize_frontier(
             else:
                 lo = m1
         t = 0.5 * (lo + hi)
+        if math.isinf(t):  # lo + hi is past the float range
+            t = 0.5 * lo + 0.5 * hi
         if (val := objective(t)) > best_val:
             best_t, best_val = t, val
 
@@ -291,12 +282,16 @@ def heatmap(
     """
     if grid < 1:
         raise ValueError("grid must be >= 1")
+    if (cells := (grid + 1) ** 2) > ENUMERATION_CAP:
+        raise ValueError(f"grid {grid} has {cells} cells, over the cap of {ENUMERATION_CAP}")
     total = problem.total
     band = total / grid
-    axis = [total if i == grid else i * total / grid for i in range(grid + 1)]
+    # where i * total is past the float range, divide first
+    axis = [y if math.isfinite(y := i * total / grid) else i / grid * total for i in range(grid)]
+    axis.append(total)
     basis = spec.resolved_basis()
     if basis == BASIS_INPUT:
-        vectors = itertools.repeat(problem.inputs, len(axis) ** 2)
+        vectors = itertools.repeat(problem.inputs, cells)
     else:
         if basis == BASIS_UTILITY:
             r_a, r_b = problem.retention_factors()
@@ -345,7 +340,7 @@ def aggregate_ranks(
     if any(w < 0 or not math.isfinite(w) for w in weights):
         raise ValueError("aggregation weights must be finite and >= 0")
     if not any(w > 0 for w in weights):
-        raise AllZeroWeightsError("at least one aggregation weight must be positive")
+        raise ValueError("at least one aggregation weight must be positive")
     if len(per_principle_ranks) != len(weights):
         raise ValueError("one weight per principle required")
     k = len(labels)
@@ -444,7 +439,7 @@ def continuous_ranking(
     principle_labels: Sequence[str],
     specs: Sequence[PrincipleSpec],
     weights: Sequence[float],
-    resolution: int,
+    resolution: int | None = None,
 ) -> RankingTable:
     """Rank the per-principle frontier optima of a continuous problem.
 
@@ -454,7 +449,7 @@ def continuous_ranking(
     optima: list[float] = []
     for label, spec in zip(principle_labels, specs):
         try:
-            shares, _ = optimize_frontier(problem, spec, resolution)
+            shares, _ = optimize_frontier(problem, spec)
         except DomainError as err:
             raise ScoringError(label, "frontier", err) from err
         optima.append(shares[0])

@@ -20,14 +20,18 @@ import os
 import sys
 from pathlib import Path
 
-from .allocation import RankingTable, continuous_ranking, discrete_ranking, heatmap
+from .allocation import (
+    ENUMERATION_CAP,
+    RankingTable,
+    continuous_ranking,
+    discrete_ranking,
+    heatmap,
+)
 from .config import ProblemConfig, load_config
 from .core import ValueVector
 from .dispersion import DispersionMetric, dispersion
 from .errors import ConfigError, DomainError, ScoringError
 from .presets import load_preset, preset_names
-
-DEFAULT_RESOLUTION = 10_001
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,16 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_metrics.set_defaults(func=cmd_metrics)
 
-    p_evaluate = _source_parser(
-        sub, "evaluate", "rank a problem's candidate allocations", cmd_evaluate
-    )
-    p_evaluate.add_argument(
-        "--resolution",
-        type=int,
-        default=DEFAULT_RESOLUTION,
-        help="accepted and checked (>= 2) for continuous problems, but does "
-        f"not change the result (default {DEFAULT_RESOLUTION})",
-    )
+    _source_parser(sub, "evaluate", "rank a problem's candidate allocations", cmd_evaluate)
 
     p_heatmap = _source_parser(
         sub,
@@ -188,13 +183,11 @@ def _print_table(table: RankingTable) -> None:
 
 def cmd_evaluate(args) -> None:
     cfg = _load(args)
-    if args.resolution < 2:
-        raise ConfigError("--resolution must be >= 2")
     ranking_args = (cfg.problem, cfg.principle_labels, cfg.specs, cfg.weights)
     if cfg.kind == "discrete":
         table = discrete_ranking(*ranking_args, labels=cfg.candidate_labels)
     else:
-        table = continuous_ranking(*ranking_args, resolution=args.resolution)
+        table = continuous_ranking(*ranking_args)
     _print_table(table)
     if args.out:
         _write(args.out, _evaluate_csv(table))
@@ -231,6 +224,10 @@ def cmd_heatmap(args) -> None:
         raise ConfigError("heatmaps require a continuous problem")
     if args.grid < 1:
         raise ConfigError("--grid must be >= 1")
+    if (cells := (args.grid + 1) ** 2) > ENUMERATION_CAP:
+        raise ConfigError(
+            f"--grid {args.grid} has {cells} cells, over the cap of {ENUMERATION_CAP}"
+        )
     if args.principle not in cfg.principle_labels:
         raise ConfigError(
             f"principle {args.principle!r} not in config "

@@ -253,14 +253,24 @@ def parse_config(data: Any) -> ProblemConfig:
     )
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    # json.loads would keep the last of a repeated key; a config must say one thing
+    out: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
 def load_config(path: str | Path) -> ProblemConfig:
     """Read and parse a JSON configuration file."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except OSError as err:
         raise ConfigError(f"cannot read {path}: {err}") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: invalid JSON: {err.msg}") from None
-    except (ValueError, RecursionError) as err:  # not UTF-8, past the digit limit, too deep
+    except (ValueError, RecursionError) as err:  # not UTF-8, too many digits, too deep, a key twice
         raise ConfigError(f"{path}: invalid JSON: {err}") from None
     return parse_config(data)

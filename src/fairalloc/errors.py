@@ -45,16 +45,8 @@ class WeightMismatchError(DomainError):
     """Weight vector length does not match the utility vector."""
 
 
-class OffFrontierError(DomainError):
-    """Shares do not exhaust the divisible total."""
-
-
 class NonFiniteScoreError(DomainError):
     """A score or ratio is not a finite float: it overflowed, or is NaN or infinite."""
-
-
-class AllZeroWeightsError(DomainError):
-    """Rank aggregation needs at least one positive principle weight."""
 
 
 class ScoringError(DomainError):

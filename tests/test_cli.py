@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -158,8 +159,10 @@ class TestEvaluate:
             assert "$.principles[0]" in err and "weights" in err
 
     def test_resolution_flag_validated(self, capsys):
-        code, _, err = run(capsys, "evaluate", "--preset", "fishermen", "--resolution", "1")
-        assert code == 2
+        code, out, err = run(capsys, "evaluate", "--preset", "fishermen", "--resolution", "101")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: ")
+        assert err.endswith("error: unrecognized arguments: --resolution 101\n")
 
     def test_unwritable_out_exits_2_after_the_table(self, capsys, tmp_path):
         path = tmp_path / "missing-dir" / "x.csv"
@@ -195,6 +198,29 @@ class TestHeatmap:
         assert out == ""
         assert err.startswith(f"error: cannot write {path}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("total", [1e308, 1.7976931348623157e308])
+    def test_totals_near_the_float_limit(self, capsys, tmp_path, total):
+        # lo + hi in the frontier search and i * total on the heatmap axis overflow here
+        doc = get_preset("fishermen")
+        doc["total"] = total
+        for spec in doc["principles"]:
+            if "threshold" in spec:
+                spec["threshold"] = total / 3
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "evaluate", "--config", str(path))
+        assert (code, err) == (0, "")
+        assert "inf" not in out
+        for spec in doc["principles"]:
+            code, out, err = run(
+                capsys, "heatmap", "--config", str(path),
+                "--principle", spec["principle"], "--grid", "4",
+            )
+            assert (code, err) == (0, "")
+            rows = [row.split(",") for row in out.splitlines()[1:]]
+            assert len(rows) == 25
+            assert all(math.isfinite(float(y)) for row in rows for y in row[:2])
 
     def test_grid_one_has_four_rows(self, capsys, tmp_path):
         out_path = tmp_path / "h.csv"
@@ -371,6 +397,9 @@ def _three_agent_fishermen():
 CONTRACT_FILES = {
     "empty-object.json": "{}",
     "empty.json": "",
+    "duplicate-key.json": json.dumps(get_preset("fishermen")).replace(
+        '"metric": "std_dev"', '"metric": "gini", "metric": "std_dev"'
+    ),
     "cake.json": json.dumps(get_preset("cake")),
     "three-agents.json": json.dumps(_three_agent_fishermen()),
     "zero-input.json": json.dumps({
@@ -450,15 +479,12 @@ ERROR_CONTRACT = [
     # the statistic itself is infinite: top / bottom share is past the float range
     ("metrics-palma-infinite", ["metrics", "--values", "5e-324,1", "--metric", "palma"], 2,
      "error: NonFiniteScore: non-finite value inf"),
-    ("evaluate-resolution-cake", ["evaluate", "--preset", "cake", "--resolution", "1"], 2,
-     "error: --resolution must be >= 2"),
-    ("evaluate-resolution-fishermen",
-     ["evaluate", "--preset", "fishermen", "--resolution", "1"], 2,
-     "error: --resolution must be >= 2"),
     ("evaluate-empty-object", ["evaluate", "--config", "{tmp}/empty-object.json"], 2,
      "error: $: missing required key 'kind'"),
     ("evaluate-empty-file", ["evaluate", "--config", "{tmp}/empty.json"], 2,
      "error: {tmp}/empty.json:1:1: invalid JSON: Expecting value"),
+    ("evaluate-duplicate-key", ["evaluate", "--config", "{tmp}/duplicate-key.json"], 2,
+     "error: {tmp}/duplicate-key.json: invalid JSON: duplicate key 'metric'"),
     ("evaluate-missing-file", ["evaluate", "--config", "{tmp}/nope.json"], 2,
      "error: cannot read {tmp}/nope.json: "
      "[Errno 2] No such file or directory: '{tmp}/nope.json'"),
@@ -514,6 +540,8 @@ Combined ranking (weighted Borda):
      "equality_of_opportunity, greater_good, proportion, sufficiency)"),
     ("heatmap-grid-zero", [*HEATMAP, "equality", "--grid", "0"], 2,
      "error: --grid must be >= 1"),
+    ("heatmap-grid-over-cap", [*HEATMAP, "equality", "--grid", "1000"], 2,
+     "error: --grid 1000 has 1002001 cells, over the cap of 1000000"),
     ("heatmap-three-agents",
      ["heatmap", "--config", "{tmp}/three-agents.json", "--principle", "equality"], 2,
      "error: $: a continuous problem splits its total between two agents, got 3"),

@@ -328,6 +328,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"^{prefix}"):
             load_config(path)
 
+    @pytest.mark.parametrize("doc, key", [
+        ('{"kind": "continuous", "kind": "discrete"}', "kind"),
+        ('{"kind": "continuous", "principles": [{"metric": "gini", "metric": "std_dev"}]}',
+         "metric"),
+    ], ids=["top-level", "nested"])
+    def test_repeated_key_is_invalid_json(self, tmp_path, doc, key):
+        path = tmp_path / "twice.json"
+        path.write_text(doc, encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == f"{path}: invalid JSON: duplicate key {key!r}"
+
     def test_invalid_json_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{\n  oops\n}", encoding="utf-8")
