@@ -189,8 +189,6 @@ def evaluate_discrete(
 
 def frontier_context(problem: ContinuousProblem, shares: ValueVector) -> AllocationContext:
     """Context for shares on the efficient frontier (shares exhaust the total)."""
-    if len(shares) != len(problem.agents):
-        raise ValueError("one share per agent required")
     total = math.fsum(shares.values)
     if abs(total - problem.total) > _FRONTIER_TOLERANCE * max(1.0, problem.total):
         raise ValueError(f"shares sum to {total!r}, expected {problem.total!r}")
@@ -291,7 +289,7 @@ def heatmap(
     axis.append(total)
     basis = spec.resolved_basis()
     if basis == BASIS_INPUT:
-        vectors = itertools.repeat(problem.inputs, cells)
+        values = itertools.repeat(next(score_column(spec, (problem.inputs,), problem.inputs)))
     else:
         if basis == BASIS_UTILITY:
             r_a, r_b = problem.retention_factors()
@@ -299,11 +297,10 @@ def heatmap(
         else:
             axis_a = axis_b = axis
         vectors = (ValueVector((a, b)) for a in axis_a for b in axis_b)
+        values = score_column(spec, vectors, problem.inputs)
     return [
         HeatmapCell(y_a, y_b, value, abs(y_a + y_b - total) <= band)
-        for (y_a, y_b), value in zip(
-            itertools.product(axis, repeat=2), score_column(spec, vectors, problem.inputs)
-        )
+        for (y_a, y_b), value in zip(itertools.product(axis, repeat=2), values)
     ]
 
 

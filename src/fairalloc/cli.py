@@ -20,13 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from .allocation import (
-    ENUMERATION_CAP,
-    RankingTable,
-    continuous_ranking,
-    discrete_ranking,
-    heatmap,
-)
+from .allocation import RankingTable, continuous_ranking, discrete_ranking, heatmap
 from .config import ProblemConfig, load_config
 from .core import ValueVector
 from .dispersion import DispersionMetric, dispersion
@@ -195,15 +189,10 @@ def cmd_evaluate(args) -> None:
 
 
 class _AxisFields(dict):
-    """Axis value -> its CSV field, formatted on first use.
-
-    Zeros are never stored: 0.0 and -0.0 are equal keys but print "0" and "-0".
-    """
+    """Axis value -> its CSV field, formatted on first use."""
 
     def __missing__(self, y: float) -> str:
-        field = f"{y:.12g}"
-        if y:
-            self[y] = field
+        self[y] = field = f"{y:.12g}"
         return field
 
 
@@ -222,19 +211,17 @@ def cmd_heatmap(args) -> None:
     cfg = _load(args)
     if cfg.kind != "continuous":
         raise ConfigError("heatmaps require a continuous problem")
-    if args.grid < 1:
-        raise ConfigError("--grid must be >= 1")
-    if (cells := (args.grid + 1) ** 2) > ENUMERATION_CAP:
-        raise ConfigError(
-            f"--grid {args.grid} has {cells} cells, over the cap of {ENUMERATION_CAP}"
-        )
     if args.principle not in cfg.principle_labels:
         raise ConfigError(
             f"principle {args.principle!r} not in config "
             f"(have: {', '.join(cfg.principle_labels)})"
         )
     spec = cfg.specs[cfg.principle_labels.index(args.principle)]
-    text = _heatmap_csv(heatmap(cfg.problem, spec, args.grid))
+    try:
+        cells = heatmap(cfg.problem, spec, args.grid)
+    except ValueError as err:  # with a parsed problem and spec, only the grid is refused
+        raise ConfigError(f"--{err}") from None
+    text = _heatmap_csv(cells)
     if args.out:
         _write(args.out, text)
     else:

@@ -183,16 +183,6 @@ _TOP_LEVEL = {
 }
 
 
-def _discrete_problem(agents: tuple[Agent, ...], pieces: tuple[Piece, ...]) -> DiscreteProblem:
-    # DiscreteProblem checks bonus agents too; this check adds the path.
-    known = {a.id for a in agents}
-    for i, piece in enumerate(pieces):
-        for agent_id in piece.bonus:
-            if agent_id not in known:
-                raise _fail(f"$.pieces[{i}].bonus", f"bonus for unknown agent {agent_id!r}")
-    return _built(DiscreteProblem, "$.pieces", agents=agents, pieces=pieces)
-
-
 def _specs(principles: tuple[dict, ...], n_agents: int) -> tuple[PrincipleSpec, ...]:
     if not principles:
         raise _fail("$.principles", "at least one principle required")
@@ -230,7 +220,9 @@ def parse_config(data: Any) -> ProblemConfig:
     doc = _read(data, _TOP_LEVEL[kind], "$")
     agents = _built(_checked_agents, "$.agents", doc["agents"])
     if kind == "discrete":
-        problem: DiscreteProblem | ContinuousProblem = _discrete_problem(agents, doc["pieces"])
+        problem: DiscreteProblem | ContinuousProblem = _built(
+            DiscreteProblem, "$.pieces", agents=agents, pieces=doc["pieces"]
+        )
     else:
         problem = _built(
             ContinuousProblem, "$", agents=agents, total=doc["total"], retention=doc["retention"]

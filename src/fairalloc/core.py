@@ -101,8 +101,7 @@ def overflow_safe(degree: int):
     """Declare that a statistic of the given degree survives an overflow on the way.
 
     Only if the direct body raises ``OverflowError`` is it recomputed on the
-    values scaled down by a power of two; an overflow on the scaled values too
-    raises :class:`NonFiniteScoreError`.
+    values scaled down by a power of two.
     """
     def declare(statistic):
         @functools.wraps(statistic)
@@ -110,11 +109,7 @@ def overflow_safe(degree: int):
             try:
                 return statistic(v, *args)
             except OverflowError:
-                pass
-            try:
                 return _rescaled(statistic, v, degree, *args)
-            except OverflowError:  # an intermediate, not the sum, is past the range
-                raise NonFiniteScoreError("arithmetic overflow") from None
         return safe
     return declare
 

@@ -122,22 +122,17 @@ def score_column(
     """Score a stream of basis vectors that share one inputs vector.
 
     Yields what ``score`` would return as the value for each vector, or None
-    where ``score`` would raise a domain error. A vector that is the same
-    object as the one before it is not scored again, so a column of
-    ``inputs`` (equality of opportunity) is scored once.
+    where ``score`` would raise a domain error.
     """
     value_of = _SCORING[spec.principle, spec.mode].value
-    last = value = None
     for v in vectors:
-        if v is not last:
-            last = v
-            try:
-                value = value_of(spec, v, inputs)
-            except (OverflowError, DomainError):
+        try:
+            value = value_of(spec, v, inputs)
+        except (OverflowError, DomainError):
+            value = None
+        else:
+            if not math.isfinite(value):
                 value = None
-            else:
-                if not math.isfinite(value):
-                    value = None
         yield value
 
 

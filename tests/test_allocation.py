@@ -391,6 +391,8 @@ class TestHeatmap:
         axis = [y if math.isfinite(y) else i / grid * total for i, y in enumerate(axis)]
         cells = heatmap(problem, spec, grid)
         assert [(c.y_a, c.y_b) for c in cells] == list(itertools.product(axis, repeat=2))
+        # no axis value is -0.0, so the CSV's cache of axis fields may hold zeros
+        assert all(math.copysign(1.0, y) == 1.0 for c in cells for y in (c.y_a, c.y_b))
         for cell in cells:
             try:
                 expected = score(spec, _share_context(problem, ValueVector((cell.y_a, cell.y_b))))

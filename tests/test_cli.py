@@ -12,8 +12,7 @@ import pytest
 import fairalloc
 import oracles
 from fairalloc.allocation import aggregate_ranks
-from fairalloc.allocation import HeatmapCell
-from fairalloc.cli import _heatmap_csv, main
+from fairalloc.cli import main
 from fairalloc.presets import get_preset
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -362,13 +361,6 @@ class TestGoldenOutput:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
-    def test_heatmap_csv_keeps_the_sign_of_zero(self):
-        cells = [HeatmapCell(y_a, y_b, None, False)
-                 for y_a in (0.0, -0.0) for y_b in (-0.0, 0.0, -0.0)]
-        assert _heatmap_csv(cells).splitlines()[1:] == [
-            "0,-0,,0", "0,0,,0", "0,-0,,0", "-0,-0,,0", "-0,0,,0", "-0,-0,,0",
-        ]
-
 
 def _fishermen(greater_good=None, input_a=None):
     doc = get_preset("fishermen")
@@ -416,6 +408,11 @@ CONTRACT_FILES = {
     "cake-huge-bonus.json": json.dumps(_cake(pieces=[
         {"amount": 0.2, "bonus": {"A": 1e308}},
         {"amount": 0.4, "bonus": {"A": 1e308}},
+        {"amount": 0.4},
+    ])),
+    "cake-unknown-bonus.json": json.dumps(_cake(pieces=[
+        {"amount": 0.2},
+        {"amount": 0.4, "bonus": {"C": 0.1}},
         {"amount": 0.4},
     ])),
     "cake-zero-weights.json": json.dumps(_cake(aggregation={"weights": {
@@ -508,6 +505,8 @@ ERROR_CONTRACT = [
      "NonFiniteScore: non-finite score inf"),
     ("evaluate-huge-bonus", ["evaluate", "--config", "{tmp}/cake-huge-bonus.json"], 2,
      "error: $.pieces: utility of agent 'A' with every piece is not finite"),
+    ("evaluate-unknown-bonus-agent", ["evaluate", "--config", "{tmp}/cake-unknown-bonus.json"], 2,
+     "error: $.pieces: piece 1: bonus for unknown agents ['C']"),
     # scenario 2's utilities sum past the float range; their mean does not
     ("evaluate-harsanyian-overflow", ["evaluate", "--config", "{tmp}/harsanyian-overflow.json"],
      0, """Candidates:
@@ -536,6 +535,10 @@ Combined ranking (weighted Borda):
      ["heatmap", "--config", "{tmp}/cake.json", "--principle", "equality"], 2,
      "error: heatmaps require a continuous problem"),
     ("heatmap-unknown-principle", [*HEATMAP, "nope"], 2,
+     "error: principle 'nope' not in config (have: difference, equality, "
+     "equality_of_opportunity, greater_good, proportion, sufficiency)"),
+    # the principle is looked up before heatmap checks the grid
+    ("heatmap-unknown-principle-and-bad-grid", [*HEATMAP, "nope", "--grid", "0"], 2,
      "error: principle 'nope' not in config (have: difference, equality, "
      "equality_of_opportunity, greater_good, proportion, sufficiency)"),
     ("heatmap-grid-zero", [*HEATMAP, "equality", "--grid", "0"], 2,

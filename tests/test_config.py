@@ -71,7 +71,7 @@ class TestRejection:
             (lambda d: d.update(kind="triangular"), "$.kind"),
             (lambda d: d["agents"][0].update(input="lots"), "$.agents[0].input"),
             (lambda d: d["pieces"][0].update(amount=-1), "$.pieces[0]"),
-            (lambda d: d["pieces"][1]["bonus"].update(C=1), "$.pieces[1].bonus"),
+            (lambda d: d["pieces"][1]["bonus"].update(C=1), "$.pieces"),
             (lambda d: d["principles"][0].update(threshold=1.0), "$.principles[0]"),
             (lambda d: d.update(labels=["only one"]), "$.labels"),
             pytest.param(

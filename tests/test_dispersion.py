@@ -2,7 +2,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from conftest import assert_close, is_constant, scale, vectors
@@ -17,12 +17,14 @@ from fairalloc import (
     ZeroSumError,
     atkinson,
     dispersion,
+    foster,
     gini,
     herfindahl_normalized,
     hoover,
     mean,
     palma,
     palma_shares,
+    sen,
     std_dev,
     theil_l,
     theil_t,
@@ -76,6 +78,43 @@ def test_power_of_two_scaling_keeps_every_bit(name, v, headroom):
     assume(min(scaled) >= sys.float_info.min)  # no subnormal rounding
     metric, degree = (mean, 1) if name == "mean" else (ALL_METRICS[name], 0)
     assert metric(ValueVector(scaled)) == math.ldexp(metric(v), j * degree)
+
+
+# Every metric kind, Atkinson around its branch points, and the welfare
+# functions built on a metric.
+WIDE_RANGE_FUNCTIONS = {
+    **{
+        str(metric): lambda v, metric=metric: dispersion(metric, v)
+        for metric in [
+            *(DispersionMetric(kind) for kind in METRIC_KINDS if kind != "atkinson"),
+            *(DispersionMetric("atkinson", eps)
+              for eps in (0.0, 0.5, 0.9999999, 1.0, 1.0000001, 2.0, 50.0, INF)),
+        ]
+    },
+    "sen": sen,
+    "foster": foster,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.sampled_from([0.0, 5e-324, MAX_FLOAT])
+    | st.floats(5e-324, sys.float_info.min, exclude_max=True)  # subnormal
+    | st.floats(1e-300, 1e308),
+    min_size=1,
+    max_size=12,
+))
+# atkinson(1.0000001) overflows on these values unless its power mean falls back to logs
+@example([1e-160] + [1e160] * 9)
+def test_wide_range_returns_a_float_or_a_domain_error(values):
+    # No OverflowError escapes the rescale, so core.overflow_safe needs no second guard.
+    v = ValueVector(values)
+    for name, fn in WIDE_RANGE_FUNCTIONS.items():
+        try:
+            result = fn(v)
+        except DomainError:
+            continue
+        assert isinstance(result, float), name
 
 
 class TestGini:
