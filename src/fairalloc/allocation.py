@@ -217,7 +217,8 @@ def optimize_frontier(
     The breakpoints are scored in ascending t, then one ternary search runs
     on each piece between them. A point replaces the best only if it scores
     strictly better, so ties go to a breakpoint and then to the smaller t,
-    and a plateau reports its left end. ``resolution`` has no effect.
+    and a plateau reports its left end. The returned value is the best
+    point's score as the search found it. ``resolution`` has no effect.
     """
     total = problem.total
     sign = -1.0 if principle_direction(spec) == MINIMIZE else 1.0
@@ -253,8 +254,7 @@ def optimize_frontier(
         if (val := objective(t)) > best_val:
             best_t, best_val = t, val
 
-    shares = ValueVector((best_t, total - best_t))
-    return shares, score(spec, _share_context(problem, shares)).value
+    return ValueVector((best_t, total - best_t)), sign * best_val
 
 
 @dataclass(frozen=True)
@@ -291,11 +291,8 @@ def heatmap(
     if basis == BASIS_INPUT:
         values = itertools.repeat(next(score_column(spec, (problem.inputs,), problem.inputs)))
     else:
-        if basis == BASIS_UTILITY:
-            r_a, r_b = problem.retention_factors()
-            axis_a, axis_b = [r_a * y for y in axis], [r_b * y for y in axis]
-        else:
-            axis_a = axis_b = axis
+        r_a, r_b = problem.retention_factors() if basis == BASIS_UTILITY else (1.0, 1.0)
+        axis_a, axis_b = [r_a * y for y in axis], [r_b * y for y in axis]
         vectors = (ValueVector((a, b)) for a in axis_a for b in axis_b)
         values = score_column(spec, vectors, problem.inputs)
     return [
@@ -312,15 +309,10 @@ def rank_scores(values: Sequence[float], direction: str) -> list[int]:
     for v in values:
         if not math.isfinite(v):
             raise NonFiniteScoreError(f"cannot rank non-finite score {v!r}")
-    reverse = direction != MINIMIZE
-    order = sorted(range(len(values)), key=lambda i: values[i], reverse=reverse)
-    ranks = [0] * len(values)
-    for pos, i in enumerate(order):
-        if pos > 0 and values[i] == values[order[pos - 1]]:
-            ranks[i] = ranks[order[pos - 1]]
-        else:
-            ranks[i] = pos + 1
-    return ranks
+    first: dict[float, int] = {}  # 0.0 and -0.0 are one key
+    for pos, v in enumerate(sorted(values, reverse=direction != MINIMIZE), 1):
+        first.setdefault(v, pos)
+    return [first[v] for v in values]
 
 
 def aggregate_ranks(

@@ -24,7 +24,7 @@ from .allocation import RankingTable, continuous_ranking, discrete_ranking, heat
 from .config import ProblemConfig, load_config
 from .core import ValueVector
 from .dispersion import DispersionMetric, dispersion
-from .errors import ConfigError, DomainError, ScoringError
+from .errors import ConfigError, DomainError
 from .presets import load_preset, preset_names
 
 EXIT_OK = 0
@@ -240,11 +240,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except ScoringError as err:  # its message already names the error
+    except DomainError as err:  # only a ScoringError arrives here; its message names the error
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except DomainError as err:
-        print(f"error: {err.name}: {err}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as err:  # commands turn every other I/O failure into a ConfigError
         print(f"error: cannot write stdout: {err}", file=sys.stderr)

@@ -78,8 +78,6 @@ def preset_names() -> list[str]:
 
 def get_preset(name: str) -> dict:
     """A deep copy of the named preset document."""
-    if name not in PRESETS:
-        raise KeyError(name)
     return copy.deepcopy(PRESETS[name])
 
 

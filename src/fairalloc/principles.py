@@ -50,8 +50,6 @@ class PrincipleSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         row = _SCORING[p, self.mode]
         other = _SCORING[p, DIORTHOTIC if self.mode == DIANEMETIC else DIANEMETIC]
-        if self.variant is not None and self.variant not in row.variants + other.variants:
-            raise ValueError(f"principle {p!r} has no variant {self.variant!r}")
         if self.basis is not None and row.basis == BASIS_INPUT:
             raise ValueError(f"{p} is always input-based")
         if self.basis not in (None, BASIS_OUTPUT, BASIS_UTILITY):
@@ -60,8 +58,6 @@ class PrincipleSpec:
             raise ValueError("threshold is required for sufficiency and only there")
         if self.threshold is not None and not math.isfinite(self.threshold):
             raise ValueError("threshold must be finite")
-        if self.metric is not None and not (row.metric or other.metric):
-            raise ValueError(f"principle {p!r} takes no dispersion metric")
         if (self.rho is not None or self.weights is not None) and not row.welfare:
             raise ValueError("rho/weights apply to the diorthotic greater-good principle only")
         if self.rho is not None and (math.isnan(self.rho) or self.rho < 0.0):
@@ -70,12 +66,13 @@ class PrincipleSpec:
             not math.isfinite(w) or w <= 0.0 for w in self.weights
         ):
             raise ValueError("weights must be finite and > 0")
-        # A parameter only the principle's other mode reads is checked last, so a
-        # spec that an earlier rule refuses keeps that rule's message.
+        # Variant and metric are checked last, naming the mode when the other mode reads them.
         if self.variant is not None and self.variant not in row.variants:
-            raise ValueError(f"principle {p!r} has no variant {self.variant!r} in {self.mode} mode")
+            where = f" in {self.mode} mode" if self.variant in other.variants else ""
+            raise ValueError(f"principle {p!r} has no variant {self.variant!r}{where}")
         if self.metric is not None and not row.metric:
-            raise ValueError(f"principle {p!r} takes no dispersion metric in {self.mode} mode")
+            where = f" in {self.mode} mode" if other.metric else ""
+            raise ValueError(f"principle {p!r} takes no dispersion metric{where}")
 
     def resolved_metric(self) -> DispersionMetric:
         return self.metric or STD_DEV

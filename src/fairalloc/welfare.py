@@ -14,7 +14,7 @@ import math
 from typing import Sequence
 
 from .core import ValueVector, mean
-from .dispersion import gini, theil_t
+from .dispersion import _epsilon_text, gini, theil_t
 from .errors import NonFiniteScoreError, WeightMismatchError, ZeroElementError
 
 RHO_INF = math.inf
@@ -50,8 +50,7 @@ def isoelastic(u: ValueVector, weights: Sequence[float] | None, rho: float) -> f
         return math.fsum(wi * xi for wi, xi in zip(w, u.values))
     if rho >= 1.0 and any(x == 0.0 for x in u.values):
         raise ZeroElementError(
-            # the shortest text that parses back to rho, without a trailing ".0"
-            f"isoelastic welfare with rho={repr(rho).removesuffix('.0')} needs positive utilities"
+            f"isoelastic welfare with rho={_epsilon_text(rho)} needs positive utilities"
         )
     if rho == 1.0:
         try:

@@ -301,6 +301,7 @@ class TestOptimizeFrontier:
             return  # the optimizer may return or raise
         shares, value = results[0]
         assert sign * value >= grid_best - 1e-9 * max(1.0, abs(grid_best))
+        assert value.hex() == score(spec, frontier_context(problem, shares)).value.hex()
 
 
 def _foster_closed_form(t):
@@ -423,6 +424,22 @@ class TestRanking:
         assert rank_scores([3.0, 1.0, 3.0, 2.0], MAXIMIZE) == [1, 4, 1, 3]
         assert rank_scores([3.0, 1.0, 3.0, 2.0], MINIMIZE) == [3, 1, 3, 2]
         assert rank_scores([5.0, 5.0, 5.0], MAXIMIZE) == [1, 1, 1]
+
+    @given(
+        st.lists(
+            st.sampled_from([0.0, -0.0, 5e-324, 0.3, 0.30000000000000004, 1.0, 1.7e308])
+            | st.floats(allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=60,
+        ),
+        st.sampled_from([MAXIMIZE, MINIMIZE]),
+    )
+    def test_rank_is_one_plus_the_strictly_better_count(self, values, way):
+        def better(a, b):
+            return a > b if way == MAXIMIZE else a < b
+
+        expected = [1 + sum(better(w, v) for w in values) for v in values]
+        assert rank_scores(values, way) == expected
 
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteScoreError):

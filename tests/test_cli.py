@@ -84,6 +84,11 @@ class TestEvaluate:
         assert code == 0
         assert "t=3.5" in out and "t=2.8" in out and "t=7" in out
 
+    def test_unknown_preset_is_a_key_error(self):
+        with pytest.raises(KeyError) as err:
+            get_preset("nope")
+        assert err.value.args == ("nope",)
+
     def test_empty_config_exits_2(self, capsys, tmp_path):
         empty = tmp_path / "empty.json"
         empty.write_text("{}", encoding="utf-8")

@@ -179,6 +179,11 @@ class TestSpecValidation:
             ({"principle": "greater_good", "mode": DIORTHOTIC, "rho": -1.0}, "rho must be >= 0"),
             ({"principle": "greater_good", "mode": DIORTHOTIC, "rho": math.nan},
              "rho must be >= 0"),
+            # a variant or metric that neither mode reads is checked last
+            ({"principle": "difference", "variant": "foster", "threshold": 1.0},
+             "threshold is required for sufficiency and only there"),
+            ({"principle": "difference", "metric": STD, "rho": 1.0},
+             "rho/weights apply to the diorthotic greater-good principle only"),
         ],
     )
     def test_older_refusals_keep_their_message(self, kwargs, message):
