@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -201,7 +202,7 @@ def _share_context(problem: ContinuousProblem, shares: ValueVector) -> Allocatio
     return AllocationContext(
         inputs=problem.inputs,
         outputs=shares,
-        utilities=ValueVector(r * y for r, y in zip(retention, shares.values)),
+        utilities=ValueVector(map(operator.mul, retention, shares.values)),
     )
 
 

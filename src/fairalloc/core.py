@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -21,7 +22,7 @@ class ValueVector:
 
     Nonnegativity is enforced at construction because every downstream
     statistic (dispersion metrics, welfare functions) is defined on
-    nonnegative values only.
+    nonnegative values only. Assigning or deleting the values is refused.
     """
 
     __slots__ = ("values",)
@@ -29,17 +30,19 @@ class ValueVector:
     values: tuple[float, ...]
 
     def __init__(self, values: Iterable[float]):
-        vals = tuple(float(v) for v in values)
+        vals = tuple(map(float, values))
         if not vals:
             raise ValueError("ValueVector needs at least one element")
         for v in vals:
-            if not math.isfinite(v):
-                raise ValueError(f"ValueVector element {v!r} is not finite")
-            if v < 0.0:
-                raise ValueError(f"ValueVector element {v!r} is negative")
-        object.__setattr__(self, "values", vals)
+            if not 0.0 <= v <= 1.7976931348623157e308:  # false for NaN, +-inf and negatives
+                fault = "negative" if math.isfinite(v) else "not finite"
+                raise ValueError(f"ValueVector element {v!r} is {fault}")
+        _store_values(self, vals)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
+        raise AttributeError("ValueVector is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("ValueVector is immutable")
 
     def __len__(self) -> int:
@@ -59,6 +62,9 @@ class ValueVector:
 
     def __repr__(self) -> str:
         return f"ValueVector({list(self.values)!r})"
+
+
+_store_values = ValueVector.values.__set__  # the slot's own setter, past __setattr__
 
 
 @dataclass(frozen=True)
@@ -82,8 +88,8 @@ class AllocationContext:
     utilities: ValueVector
 
     def __post_init__(self):
-        n = len(self.inputs)
-        if len(self.outputs) != n or len(self.utilities) != n:
+        n = len(self.inputs.values)
+        if len(self.outputs.values) != n or len(self.utilities.values) != n:
             raise ValueError(
                 "inputs, outputs and utilities must have identical length"
             )
@@ -118,7 +124,7 @@ def mean(v: ValueVector) -> float:
     """Arithmetic mean of the elements; finite even where their sum is not."""
     # Not declared overflow_safe: the wrapper's frame would cost every caller.
     try:
-        return math.fsum(v.values) / len(v)
+        return math.fsum(v.values) / len(v.values)
     except OverflowError:
         return _rescaled(mean, v, 1)
 
@@ -131,7 +137,7 @@ def threshold_share(v: ValueVector, threshold: float) -> float:
     """
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
-    return sum(1 for x in v.values if x >= threshold) / len(v)
+    return sum(1 for x in v.values if x >= threshold) / len(v.values)
 
 
 def ratio_vector(y: ValueVector, x: ValueVector) -> ValueVector:
@@ -141,11 +147,11 @@ def ratio_vector(y: ValueVector, x: ValueVector) -> ValueVector:
     output to a zero contribution is undefined. A ratio past the float range
     raises :class:`NonFiniteScoreError`.
     """
-    if len(y) != len(x):
+    if len(y.values) != len(x.values):
         raise ValueError("ratio_vector needs vectors of identical length")
-    if any(xi == 0.0 for xi in x.values):
+    if 0.0 in x.values:  # -0.0 too: it equals 0.0
         raise ZeroInputError("ratio undefined for zero-input individuals")
     try:
-        return ValueVector(yi / xi for yi, xi in zip(y.values, x.values))
+        return ValueVector(map(operator.truediv, y.values, x.values))
     except ValueError:  # nonnegative and nonempty, so only an infinite ratio fails
         raise NonFiniteScoreError("output/input ratio overflows the float range") from None

@@ -76,7 +76,7 @@ def gini(v: ValueVector) -> float:
     total = math.fsum(v.values)
     if total == 0.0:
         raise ZeroSumError("gini undefined for an all-zero vector")
-    n = len(v)
+    n = len(v.values)
     if math.isinf(n * total):  # covers the weighted sum too: it is at most n * total
         raise OverflowError("n * sum is past the float range")
     weighted = math.fsum((i + 1) * x for i, x in enumerate(sorted(v.values)))
@@ -116,12 +116,12 @@ def atkinson(v: ValueVector, epsilon: float) -> float:
         return 0.0
     if math.isinf(epsilon):
         return max(0.0, 1.0 - min(v.values) / m)
-    if epsilon >= 1.0 and any(x == 0.0 for x in v.values):
+    if epsilon >= 1.0 and 0.0 in v.values:
         raise ZeroElementError(
             f"atkinson with epsilon={_epsilon_text(epsilon)} needs strictly positive values"
         )
     if epsilon == 1.0:
-        log_gm = math.fsum(math.log(x) for x in v.values) / len(v)
+        log_gm = math.fsum(math.log(x) for x in v.values) / len(v.values)
         return max(0.0, 1.0 - math.exp(log_gm) / m)
     return max(0.0, 1.0 - _power_mean(v.values, 1.0 - epsilon) / m)
 
@@ -129,7 +129,7 @@ def atkinson(v: ValueVector, epsilon: float) -> float:
 @overflow_safe(0)
 def herfindahl_normalized(v: ValueVector) -> float:
     """Normalized Herfindahl index: (HH - 1/n) / (1 - 1/n), HH = sum of share^2."""
-    n = len(v)
+    n = len(v.values)
     if n < 2:
         raise DegeneratePopulationError("normalized Herfindahl needs n >= 2")
     total = math.fsum(v.values)
@@ -148,7 +148,7 @@ def hoover(v: ValueVector) -> float:
     total = math.fsum(v.values)
     if total == 0.0:
         raise ZeroSumError("Hoover undefined for an all-zero vector")
-    m = total / len(v)
+    m = total / len(v.values)
     return 0.5 * math.fsum(abs(x - m) for x in v.values) / total
 
 
@@ -185,7 +185,7 @@ def palma(v: ValueVector) -> float:
 def std_dev(v: ValueVector) -> float:
     """Population standard deviation (square root of the biased variance)."""
     m = mean(v)
-    return math.sqrt(math.fsum((x - m) ** 2 for x in v.values) / len(v))
+    return math.sqrt(math.fsum((x - m) ** 2 for x in v.values) / len(v.values))
 
 
 def theil_t(v: ValueVector) -> float:
@@ -194,18 +194,18 @@ def theil_t(v: ValueVector) -> float:
     if m == 0.0:
         raise ZeroMeanError("Theil T undefined for a zero-mean vector")
     acc = math.fsum(r * math.log(r) for r in (x / m for x in v.values) if r > 0.0)
-    return max(0.0, acc / len(v))
+    return max(0.0, acc / len(v.values))
 
 
 def theil_l(v: ValueVector) -> float:
     """Theil L index (mean log deviation): (1/n) * sum ln(mean/x)."""
-    if any(x == 0.0 for x in v.values):
+    if 0.0 in v.values:
         raise ZeroElementError("Theil L diverges on zero elements")
     m = mean(v)
     acc = math.fsum(math.log(m / x) for x in v.values)
     if math.isinf(acc):  # m / x overflowed, but ln m - ln x is finite
         acc = math.fsum(math.log(m) - math.log(x) for x in v.values)
-    return max(0.0, acc / len(v))
+    return max(0.0, acc / len(v.values))
 
 
 def dispersion(metric: DispersionMetric, v: ValueVector) -> float:

@@ -22,11 +22,11 @@ RHO_INF = math.inf
 
 def _checked_weights(u: ValueVector, weights: Sequence[float] | None) -> tuple[float, ...]:
     if weights is None:
-        return (1.0,) * len(u)
+        return (1.0,) * len(u.values)
     w = tuple(float(x) for x in weights)
-    if len(w) != len(u):
+    if len(w) != len(u.values):
         raise WeightMismatchError(
-            f"{len(w)} weights for {len(u)} utilities"
+            f"{len(w)} weights for {len(u.values)} utilities"
         )
     if any(not math.isfinite(x) or x <= 0.0 for x in w):
         raise ValueError("welfare weights must be finite and > 0")
@@ -48,7 +48,7 @@ def isoelastic(u: ValueVector, weights: Sequence[float] | None, rho: float) -> f
         return min(u.values)
     if rho == 0.0:
         return math.fsum(wi * xi for wi, xi in zip(w, u.values))
-    if rho >= 1.0 and any(x == 0.0 for x in u.values):
+    if rho >= 1.0 and 0.0 in u.values:
         raise ZeroElementError(
             f"isoelastic welfare with rho={_epsilon_text(rho)} needs positive utilities"
         )

@@ -12,6 +12,22 @@ import math
 import numpy as np
 
 
+def value_vector_error(values) -> str | None:
+    """The message ValueVector(values) raises, or None if it accepts them.
+
+    One element at a time, in order, with the two checks kept apart.
+    """
+    xs = [float(x) for x in values]
+    if not xs:
+        return "ValueVector needs at least one element"
+    for x in xs:
+        if math.isnan(x) or math.isinf(x):
+            return f"ValueVector element {x!r} is not finite"
+        if x < 0.0:
+            return f"ValueVector element {x!r} is negative"
+    return None
+
+
 def gini_pairwise(values) -> float:
     """O(n^2) double sum: sum |x_i - x_j| over 2 n sum(x)."""
     xs = list(values)

@@ -1,6 +1,9 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from conftest import assert_close, scale, vectors
 from fairalloc import (
     Agent,
@@ -15,15 +18,60 @@ from fairalloc import (
 )
 
 
+# Values at and just past each edge of the domain [0, max float]
+EDGE_VALUES = [
+    math.nan, math.inf, -math.inf, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+]
+
+
 class TestValueVector:
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             ValueVector([])
+        assert str(err.value) == "ValueVector needs at least one element"
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
-    def test_rejects_non_domain_elements(self, bad):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        ("bad", "message"),
+        [
+            (math.nan, "ValueVector element nan is not finite"),
+            (math.inf, "ValueVector element inf is not finite"),
+            (-math.inf, "ValueVector element -inf is not finite"),
+            (-1.0, "ValueVector element -1.0 is negative"),
+            (-5e-324, "ValueVector element -5e-324 is negative"),
+        ],
+        ids=["nan", "inf", "-inf", "-1.0", "-5e-324"],
+    )
+    def test_rejects_non_domain_elements(self, bad, message):
+        with pytest.raises(ValueError) as err:
             ValueVector([1.0, bad])
+        assert str(err.value) == message
+
+    def test_first_bad_element_is_reported(self):
+        with pytest.raises(ValueError, match="^ValueVector element -1.0 is negative$"):
+            ValueVector([-1.0, math.nan])
+        with pytest.raises(ValueError, match="^ValueVector element nan is not finite$"):
+            ValueVector([math.nan, -1.0])
+
+    def test_negative_zero_is_accepted_and_keeps_its_sign(self):
+        v = ValueVector([-0.0, 1.0])
+        assert v.values == (0.0, 1.0)
+        assert math.copysign(1.0, v[0]) == -1.0
+
+    def test_coerces_as_float_does(self):
+        big = 2**53 + 1  # not representable: float() rounds it
+        v = ValueVector(x for x in (1, 0, big))
+        assert v.values == (1.0, 0.0, float(big))
+        assert all(type(x) is float for x in v.values)
+
+    @given(st.lists(st.one_of(st.sampled_from(EDGE_VALUES), st.floats()), max_size=6))
+    def test_matches_per_element_reference(self, values):
+        expected = oracles.value_vector_error(values)
+        if expected is None:
+            assert [repr(x) for x in ValueVector(values).values] == [repr(x) for x in values]
+        else:
+            with pytest.raises(ValueError) as err:
+                ValueVector(values)
+            assert str(err.value) == expected
 
     def test_is_immutable_value(self):
         v = ValueVector([1, 2])
@@ -31,6 +79,9 @@ class TestValueVector:
         assert hash(v) == hash(ValueVector([1.0, 2.0]))
         with pytest.raises(AttributeError):
             v.values = (3.0,)
+        with pytest.raises(AttributeError):
+            del v.values
+        assert v.values == (1.0, 2.0)
 
 
 class TestAgent:
@@ -82,6 +133,13 @@ class TestRatioVector:
     def test_zero_input_rejected(self):
         with pytest.raises(ZeroInputError):
             ratio_vector(ValueVector([1, 1]), ValueVector([1, 0]))
+
+    def test_negative_zero_input_rejected_as_zero(self):
+        with pytest.raises(ZeroInputError) as zero:
+            ratio_vector(ValueVector([1, 1]), ValueVector([1, 0.0]))
+        with pytest.raises(ZeroInputError) as negative_zero:
+            ratio_vector(ValueVector([1, 1]), ValueVector([1, -0.0]))
+        assert str(negative_zero.value) == str(zero.value)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -162,6 +162,14 @@ class TestAtkinson:
         with pytest.raises(ValueError):
             atkinson(ValueVector([1, 2]), -0.1)
 
+    def test_negative_zero_element_rejected_as_zero(self):
+        for eps in (1.0, 2.0):
+            with pytest.raises(ZeroElementError) as zero:
+                atkinson(ValueVector([0.0, 1]), eps)
+            with pytest.raises(ZeroElementError) as negative_zero:
+                atkinson(ValueVector([-0.0, 1]), eps)
+            assert str(negative_zero.value) == str(zero.value)
+
     def test_zero_element_message_names_the_exact_epsilon(self):
         with pytest.raises(ZeroElementError) as err:
             atkinson(ValueVector([0, 1]), 1.0000001)
@@ -295,6 +303,13 @@ class TestTheil:
         assert_close(theil_l(ValueVector([1, 3])), (math.log(2) + math.log(2 / 3)) / 2)
         with pytest.raises(ZeroElementError):
             theil_l(ValueVector([0, 1]))
+
+    def test_theil_l_negative_zero_element_rejected_as_zero(self):
+        with pytest.raises(ZeroElementError) as zero:
+            theil_l(ValueVector([0.0, 1]))
+        with pytest.raises(ZeroElementError) as negative_zero:
+            theil_l(ValueVector([-0.0, 1]))
+        assert str(negative_zero.value) == str(zero.value)
 
     def test_theil_l_finite_where_mean_over_x_overflows(self):
         # 0.5 / 5e-324 is past the float range; ln 0.5 - ln 5e-324 is not

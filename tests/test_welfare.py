@@ -62,6 +62,13 @@ class TestIsoelastic:
             with pytest.raises(ZeroElementError):
                 isoelastic(ValueVector([0.0, 1.0]), [1, 1], rho)
 
+    def test_negative_zero_utility_rejected_as_zero(self):
+        with pytest.raises(ZeroElementError) as zero:
+            isoelastic(ValueVector([0.0, 1.0]), [1, 1], 1.0)
+        with pytest.raises(ZeroElementError) as negative_zero:
+            isoelastic(ValueVector([-0.0, 1.0]), [1, 1], 1.0)
+        assert str(negative_zero.value) == str(zero.value)
+
     def test_zero_element_message_names_the_exact_rho(self):
         for rho, text in ((1.0000001, "1.0000001"), (2.0, "2")):
             with pytest.raises(ZeroElementError) as err:
