@@ -218,10 +218,16 @@ def optimize_frontier(
     The breakpoints are scored in ascending t, then one ternary search runs
     on each piece between them. A point replaces the best only if it scores
     strictly better, so ties go to a breakpoint and then to the smaller t,
-    and a plateau reports its left end. The returned value is the best
-    point's score as the search found it. ``resolution`` has no effect.
+    and a plateau reports its left end. A piece's search ends when a step
+    leaves its interval unchanged, as every later step would repeat it. An
+    input-based principle has one score on the whole frontier: it is scored
+    once and proposes t = 0. The returned value is the best point's score as
+    the search found it. ``resolution`` has no effect.
     """
     total = problem.total
+    if spec.resolved_basis() == BASIS_INPUT:
+        ctx = _share_context(problem, ValueVector((0.0, total)))
+        return ctx.outputs, score(spec, ctx).value
     sign = -1.0 if principle_direction(spec) == MINIMIZE else 1.0
 
     def objective(t: float) -> float:
@@ -246,8 +252,12 @@ def optimize_frontier(
             m1 = lo + (hi - lo) / 3.0
             m2 = hi - (hi - lo) / 3.0
             if objective(m1) >= objective(m2):
+                if hi == m2:
+                    break
                 hi = m2
             else:
+                if lo == m1:
+                    break
                 lo = m1
         t = 0.5 * (lo + hi)
         if math.isinf(t):  # lo + hi is past the float range

@@ -132,21 +132,31 @@ def cmd_metrics(args) -> None:
 
 
 def _evaluate_csv(table: RankingTable) -> str:
+    # Each label is quoted once, by the writer a row-by-row csv.writer would use.
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["candidate", "principle", "score", "direction", "rank"])
-    for c, candidate in enumerate(table.candidates):
-        for p, principle in enumerate(table.principles):
-            writer.writerow(
+
+    def field(label: str) -> str:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow([label, ""])  # two fields, as a lone empty field is quoted
+        return buffer.getvalue()[:-2]
+
+    columns = [
+        (field(principle), table.scores[p], field(table.directions[p]), table.ranks[p])
+        for p, principle in enumerate(table.principles)
+    ]
+    lines = ["candidate,principle,score,direction,rank\n"]
+    for c, candidate in enumerate(map(field, table.candidates)):
+        lines.append(
+            "".join(
                 [
-                    candidate,
-                    principle,
-                    f"{table.scores[p][c]:.12g}",
-                    table.directions[p],
-                    table.ranks[p][c],
+                    f"{candidate},{principle},{scores[c]:.12g},{direction},{ranks[c]}\n"
+                    for principle, scores, direction, ranks in columns
                 ]
             )
-    return buffer.getvalue()
+        )
+    return "".join(lines)
 
 
 def _print_table(table: RankingTable) -> None:

@@ -7,9 +7,14 @@ meaningful.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
+
+from fairalloc import MINIMIZE, ValueVector, direction, principles
+from fairalloc.allocation import _share_context
 
 
 def value_vector_error(values) -> str | None:
@@ -26,6 +31,62 @@ def value_vector_error(values) -> str | None:
         if x < 0.0:
             return f"ValueVector element {x!r} is negative"
     return None
+
+
+def optimize_frontier_full_search(problem, spec):
+    """``optimize_frontier`` with no evaluation skipped: the result to match bit for bit.
+
+    Every spec, an input-based one too, scores all breakpoints and runs all
+    100 ternary steps on every piece between them. Scores go through
+    ``principles.score``, looked up at each call, so a test can count them.
+    """
+    total = problem.total
+    sign = -1.0 if direction(spec) == MINIMIZE else 1.0
+
+    def objective(t):
+        ctx = _share_context(problem, ValueVector((t, total - t)))
+        return sign * principles.score(spec, ctx).value
+
+    points = {0.0, total}
+    for a, b in ((1.0, 1.0), problem.retention_factors()):
+        for p, q in ((1.0, 1.0), problem.inputs.values):
+            if (den := a * q + b * p) > 0.0:
+                points.add(total * b * p / den)
+        if spec.threshold is not None:
+            points.update((spec.threshold / a, total - spec.threshold / b))
+    points = sorted(t for t in points if 0.0 <= t <= total)
+
+    values = [objective(t) for t in points]
+    best_val = max(values)
+    best_t = points[values.index(best_val)]
+    for lo, hi in zip(points, points[1:]):
+        for _ in range(100):
+            m1 = lo + (hi - lo) / 3.0
+            m2 = hi - (hi - lo) / 3.0
+            if objective(m1) >= objective(m2):
+                hi = m2
+            else:
+                lo = m1
+        t = 0.5 * (lo + hi)
+        if math.isinf(t):
+            t = 0.5 * lo + 0.5 * hi
+        if (val := objective(t)) > best_val:
+            best_t, best_val = t, val
+    return ValueVector((best_t, total - best_t)), sign * best_val
+
+
+def evaluate_csv_by_row(table) -> str:
+    """``evaluate --out`` CSV text, one ``csv.writer`` row per candidate and principle."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["candidate", "principle", "score", "direction", "rank"])
+    for c, candidate in enumerate(table.candidates):
+        for p, principle in enumerate(table.principles):
+            writer.writerow([
+                candidate, principle, f"{table.scores[p][c]:.12g}", table.directions[p],
+                table.ranks[p][c],
+            ])
+    return buffer.getvalue()
 
 
 def gini_pairwise(values) -> float:

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from conftest import assert_close
 from fairalloc import (
+    DIANEMETIC,
     DIORTHOTIC,
     MAXIMIZE,
     MINIMIZE,
@@ -302,6 +304,78 @@ class TestOptimizeFrontier:
         shares, value = results[0]
         assert sign * value >= grid_best - 1e-9 * max(1.0, abs(grid_best))
         assert value.hex() == score(spec, frontier_context(problem, shares)).value.hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.tuples(*[st.sampled_from([0.0, 1.0, 8.0, 12.0]) | st.floats(1e-3, 1e3)] * 2),
+        st.tuples(*[st.floats(0.05, 1.0)] * 2),
+        st.sampled_from([1e-2, 7.0, 1e308, MAX_FLOAT]) | st.floats(1e-2, MAX_FLOAT),
+        st.sampled_from(ACCEPTED_SHAPES),
+        st.floats(0.0, 1.25),
+    )
+    @example((0.0, 0.0), (1.0, 1.0), MAX_FLOAT, PrincipleSpec("greater_good"), 0.5)
+    def test_bitwise_equal_to_the_full_search(self, inputs, retention, total, spec, threshold_share):
+        agents = (Agent(id="a", input=inputs[0]), Agent(id="b", input=inputs[1]))
+        problem = ContinuousProblem(agents=agents, total=total, retention=dict(zip("ab", retention)))
+        if spec.threshold is not None:
+            threshold = threshold_share * total
+            spec = dataclasses.replace(spec, threshold=min(threshold, MAX_FLOAT))
+
+        def outcome(optimize):
+            try:
+                shares, value = optimize(problem, spec)
+            except DomainError as err:
+                return type(err), str(err)
+            return [t.hex() for t in shares.values], value.hex()
+
+        assert outcome(optimize_frontier) == outcome(oracles.optimize_frontier_full_search)
+
+    @pytest.mark.parametrize("mode", [DIANEMETIC, DIORTHOTIC])
+    def test_an_input_based_principle_is_scored_once(self, monkeypatch, mode):
+        calls = _count_scores(monkeypatch)
+        problem = fishermen_problem()
+        spec = PrincipleSpec("equality_of_opportunity", mode=mode, metric=STD)
+        shares, value = optimize_frontier(problem, spec)
+        assert len(calls) == 1
+        assert shares.values == (0.0, problem.total)
+        calls.clear()
+        assert (shares, value) == oracles.optimize_frontier_full_search(problem, spec)
+        assert len(calls) > 1000
+
+    def test_no_principle_costs_more_than_the_full_search(self, monkeypatch):
+        calls = _count_scores(monkeypatch)
+        cfg = load_preset("fishermen")
+        for label, spec in zip(cfg.principle_labels, cfg.specs):
+            optimize_frontier(cfg.problem, spec)
+            fast = len(calls)
+            calls.clear()
+            oracles.optimize_frontier_full_search(cfg.problem, spec)
+            assert fast <= len(calls), label
+            calls.clear()
+
+    def test_input_domain_error_still_names_the_principle(self):
+        agents = (Agent(id="a", input=0.0), Agent(id="b", input=1.0))
+        problem = ContinuousProblem(agents=agents, total=1.0, retention={"a": 1.0, "b": 1.0})
+        spec = PrincipleSpec(
+            "equality_of_opportunity", mode=DIORTHOTIC, metric=DispersionMetric("theil_l")
+        )
+        with pytest.raises(ScoringError) as err:
+            continuous_ranking(problem, ["eoo"], [spec], [1.0])
+        assert (err.value.principle, err.value.candidate) == ("eoo", "frontier")
+        assert err.value.cause.name == "ZeroElement"
+
+
+def _count_scores(monkeypatch):
+    """Count score calls made by optimize_frontier and by the oracle alike."""
+    calls = []
+
+    def counted(spec, ctx):
+        calls.append(spec.principle)
+        return score(spec, ctx)
+
+    monkeypatch.setattr("fairalloc.allocation.score", counted)
+    monkeypatch.setattr(principles, "score", counted)
+    return calls
 
 
 def _foster_closed_form(t):

@@ -8,14 +8,20 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import fairalloc
 import oracles
-from fairalloc.allocation import aggregate_ranks
-from fairalloc.cli import main
+from fairalloc import MAXIMIZE, MINIMIZE
+from fairalloc.allocation import RankingTable, aggregate_ranks
+from fairalloc.cli import _evaluate_csv, main
 from fairalloc.presets import get_preset
 
 GOLDEN = Path(__file__).parent / "golden"
+# Labels a CSV writer must quote, or must leave alone, and free text.
+AWKWARD_LABELS = st.sampled_from(
+    ["", " lead", "trail ", "a,b", 'say "hi"', '"', ",", "cr\rhere", "lf\nhere", "\r\n", "t=3.5"]
+) | st.text(max_size=8)
 
 
 def run(capsys, *argv):
@@ -322,6 +328,29 @@ class TestGoldenOutput:
         assert code == 0
         assert out == f"{stdout}\nwrote {path}\n"
         assert path.read_bytes() == (GOLDEN / f"{preset}.csv").read_bytes()
+
+    @given(
+        st.lists(AWKWARD_LABELS, min_size=1, max_size=5, unique=True),
+        st.lists(AWKWARD_LABELS, min_size=1, max_size=4),
+        st.data(),
+    )
+    def test_evaluate_csv_quotes_as_a_row_writer_does(self, candidates, principles, data):
+        def drawn(elements, size):
+            return tuple(data.draw(st.lists(elements, min_size=size, max_size=size)))
+
+        k = len(candidates)
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        table = RankingTable(
+            candidates=tuple(candidates),
+            contexts=(),
+            principles=tuple(principles),
+            directions=drawn(st.sampled_from([MAXIMIZE, MINIMIZE]) | AWKWARD_LABELS, len(principles)),
+            scores=tuple(drawn(finite, k) for _ in principles),
+            ranks=tuple(drawn(st.integers(1, k), k) for _ in principles),
+            borda=(0.0,) * k,
+            combined=tuple(range(1, k + 1)),
+        )
+        assert _evaluate_csv(table) == oracles.evaluate_csv_by_row(table)
 
     # SHA-256 of heatmap stdout, taken before the heatmap scored one column
     # per principle; each config file is written under tmp_path.
