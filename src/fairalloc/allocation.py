@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .core import Agent, AllocationContext, ValueVector
 from .errors import DomainError, NonFiniteScoreError, ScoringError
@@ -24,6 +24,7 @@ from .principles import (
     MINIMIZE,
     PrincipleSpec,
     direction as principle_direction,
+    peaks_between_breakpoints,
     score,
     score_column,
 )
@@ -206,26 +207,64 @@ def _share_context(problem: ContinuousProblem, shares: ValueVector) -> Allocatio
     )
 
 
+def _edge(holds: Callable[[float], bool], inside: float, outside: float) -> float:
+    """The float next to ``outside``'s side at which monotone ``holds`` last holds.
+
+    ``holds`` is true at ``inside`` and false at ``outside``; halving the gap
+    between them ends at two neighbouring floats.
+    """
+    while (mid := inside + (outside - inside) / 2.0) not in (inside, outside):
+        if holds(mid):
+            inside = mid
+        else:
+            outside = mid
+    return inside
+
+
+def _threshold_crossings(total: float, threshold: float, a: float, b: float) -> list[float]:
+    """Where each agent's value on the frontier (t, total - t) crosses the threshold.
+
+    Agent a is sufficient from t_a on, the least float t with a * t >=
+    threshold, so a plateau of sufficiency keeps its left end; agent b is
+    sufficient up to t_b, the greatest float t with b * (total - t) >=
+    threshold. An agent sufficient everywhere or nowhere on [0, total] has
+    no crossing.
+    """
+    crossings = []
+    if 0.0 < threshold <= a * total:
+        crossings.append(_edge(lambda t: a * t >= threshold, total, 0.0))
+    if 0.0 < threshold <= b * total:
+        crossings.append(_edge(lambda t: b * (total - t) >= threshold, 0.0, total))
+    return crossings
+
+
 def optimize_frontier(
     problem: ContinuousProblem, spec: PrincipleSpec, resolution: int | None = None
 ) -> tuple[ValueVector, float]:
-    """Best frontier split for one principle, by a scan of the breakpoints.
+    """Best frontier split for one principle, from its breakpoints.
 
     The frontier of a two-agent problem is one-dimensional: shares are
-    (t, total - t). Between 0, total and the breakpoints, where the agents'
-    outputs or utilities (each as is or over the agent's input) are equal or
-    one of them equals the threshold, every score is monotone or unimodal.
-    The breakpoints are scored in ascending t, then one ternary search runs
-    on each piece between them. A point replaces the best only if it scores
-    strictly better, so ties go to a breakpoint and then to the smaller t,
-    and a plateau reports its left end. A piece's search ends when a step
-    leaves its interval unchanged, as every later step would repeat it. An
-    input-based principle has one score on the whole frontier: it is scored
-    once and proposes t = 0. The returned value is the best point's score as
-    the search found it. ``resolution`` has no effect.
+    (t, total - t). The breakpoints are 0, total, the points where the
+    agents' outputs or utilities (each as is or over the agent's input) are
+    equal, the edges of each agent's sufficiency (the least t at which
+    agent a is sufficient, the greatest at which agent b is), and, for
+    isoelastic welfare with 0 < rho < inf, its closed-form maximum
+    t = total / (1 + q), q = (w_b c_b^(1-rho) / (w_a c_a^(1-rho)))^(1/rho)
+    with c the retention on the utility basis and 1 on the output basis.
+    Between neighbouring breakpoints every score is monotone, except where
+    the spec's row declares that it can peak inside a piece
+    (``peaks_between_breakpoints``, today foster on utilities); only then
+    does a ternary search run on each piece, ending when a step leaves its
+    interval unchanged. The breakpoints are scored once each in ascending t,
+    and a point replaces the best only if it scores strictly better, so ties
+    go to a breakpoint and then to the smaller t, and a plateau reports its
+    left end. An input-based principle has one score on the whole frontier:
+    it is scored once and proposes t = 0. The returned value is the best
+    point's score. ``resolution`` has no effect.
     """
     total = problem.total
-    if spec.resolved_basis() == BASIS_INPUT:
+    basis = spec.resolved_basis()
+    if basis == BASIS_INPUT:
         ctx = _share_context(problem, ValueVector((0.0, total)))
         return ctx.outputs, score(spec, ctx).value
     sign = -1.0 if principle_direction(spec) == MINIMIZE else 1.0
@@ -237,33 +276,49 @@ def optimize_frontier(
     points = {0.0, total}
     for a, b in ((1.0, 1.0), problem.retention_factors()):
         for p, q in ((1.0, 1.0), problem.inputs.values):
-            # a*t/p == b*(total - t)/q, in the form that is exact on round inputs
+            # a*t/p == b*(total - t)/q, in the form that is exact on round
+            # inputs; where that overflows, divide first
             if (den := a * q + b * p) > 0.0:
-                points.add(total * b * p / den)
+                t = total * b * p / den
+                if math.isinf(den) or not math.isfinite(t):
+                    t = total * (0.5 * b * p / (0.5 * a * q + 0.5 * b * p))
+                points.add(t)
         if spec.threshold is not None:
-            points.update((spec.threshold / a, total - spec.threshold / b))
-    points = sorted(t for t in points if 0.0 <= t <= total)  # drops an overflowed crossing
+            points.update(_threshold_crossings(total, spec.threshold, a, b))
+    weights = spec.weights or (1.0, 1.0)
+    if spec.rho is not None and 0.0 < spec.rho < math.inf and len(weights) == 2:
+        # isoelastic welfare is concave on the frontier, with this maximum
+        c = problem.retention_factors() if basis == BASIS_UTILITY else (1.0, 1.0)
+        e = 1.0 - spec.rho
+        try:
+            q = (weights[1] * c[1] ** e / (weights[0] * c[0] ** e)) ** (1.0 / spec.rho)
+        except (OverflowError, ZeroDivisionError):
+            pass  # q is past the float range
+        else:
+            points.add(total / (1.0 + q))
+    points = sorted(t for t in points if 0.0 <= t <= total)
 
     values = [objective(t) for t in points]
     best_val = max(values)
     best_t = points[values.index(best_val)]
-    for lo, hi in zip(points, points[1:]):
-        for _ in range(100):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            if objective(m1) >= objective(m2):
-                if hi == m2:
-                    break
-                hi = m2
-            else:
-                if lo == m1:
-                    break
-                lo = m1
-        t = 0.5 * (lo + hi)
-        if math.isinf(t):  # lo + hi is past the float range
-            t = 0.5 * lo + 0.5 * hi
-        if (val := objective(t)) > best_val:
-            best_t, best_val = t, val
+    if peaks_between_breakpoints(spec):
+        for lo, hi in zip(points, points[1:]):
+            for _ in range(100):
+                m1 = lo + (hi - lo) / 3.0
+                m2 = hi - (hi - lo) / 3.0
+                if objective(m1) >= objective(m2):
+                    if hi == m2:
+                        break
+                    hi = m2
+                else:
+                    if lo == m1:
+                        break
+                    lo = m1
+            t = 0.5 * (lo + hi)
+            if math.isinf(t):  # lo + hi is past the float range
+                t = 0.5 * lo + 0.5 * hi
+            if (val := objective(t)) > best_val:
+                best_t, best_val = t, val
 
     return ValueVector((best_t, total - best_t)), sign * best_val
 

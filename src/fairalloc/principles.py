@@ -96,6 +96,16 @@ def direction(spec: PrincipleSpec) -> str:
     return _SCORING[spec.principle, spec.mode].direction
 
 
+def peaks_between_breakpoints(spec: PrincipleSpec) -> bool:
+    """Whether the score can peak strictly inside a piece of the two-agent frontier.
+
+    The pieces lie between the frontier optimizer's breakpoints. Every other
+    score is monotone on each piece, so one of the breakpoints is its optimum.
+    """
+    row = _SCORING[spec.principle, spec.mode]
+    return (spec.variant or row.variants[0], spec.resolved_basis()) in row.interior_peaks
+
+
 def score(spec: PrincipleSpec, ctx: AllocationContext) -> PrincipleScore:
     """Score one allocation context under one principle spec.
 
@@ -182,6 +192,9 @@ class _Scoring(NamedTuple):
     metric: bool = False
     threshold: bool = False
     welfare: bool = False
+    # The (variant, basis) pairs whose score can peak strictly between two
+    # frontier breakpoints; the frontier optimizer searches only inside those.
+    interior_peaks: tuple[tuple[str | None, str], ...] = ()
 
 
 _DIFFERENCE = _Scoring(MAXIMIZE, _difference, variants=("rawlsian", "harsanyian"))
@@ -197,7 +210,15 @@ _SCORING = {
     ("difference", DIANEMETIC): _DIFFERENCE,
     ("difference", DIORTHOTIC): _DIFFERENCE,
     ("equality", DIANEMETIC): _Scoring(MINIMIZE, _dispersion, metric=True),
-    ("equality", DIORTHOTIC): _Scoring(MAXIMIZE, _capability_welfare, variants=("foster", "sen")),
+    # foster = mean * exp(-Theil T): on utilities the mean moves along the
+    # frontier while exp(-T) is unimodal, so their product can peak between
+    # breakpoints; on outputs the mean is constant and foster is monotone.
+    ("equality", DIORTHOTIC): _Scoring(
+        MAXIMIZE,
+        _capability_welfare,
+        variants=("foster", "sen"),
+        interior_peaks=(("foster", BASIS_UTILITY),),
+    ),
     ("equality_of_opportunity", DIANEMETIC): _Scoring(
         MINIMIZE, _dispersion, BASIS_INPUT, metric=True
     ),

@@ -34,10 +34,14 @@ def value_vector_error(values) -> str | None:
 
 
 def optimize_frontier_full_search(problem, spec):
-    """``optimize_frontier`` with no evaluation skipped: the result to match bit for bit.
+    """A frontier optimum found by searching every piece, with no evaluation skipped.
 
-    Every spec, an input-based one too, scores all breakpoints and runs all
-    100 ternary steps on every piece between them. Scores go through
+    Every spec, an input-based one too, scores the breakpoints and runs all
+    100 ternary steps on every piece between them. The breakpoints are
+    ``optimize_frontier``'s without the isoelastic split, and with each
+    threshold crossing as the quotient rounds. ``optimize_frontier``
+    must match it bit for bit where the spec's row keeps the search, and
+    elsewhere not trail it by more than rounding. Scores go through
     ``principles.score``, looked up at each call, so a test can count them.
     """
     total = problem.total
@@ -51,7 +55,10 @@ def optimize_frontier_full_search(problem, spec):
     for a, b in ((1.0, 1.0), problem.retention_factors()):
         for p, q in ((1.0, 1.0), problem.inputs.values):
             if (den := a * q + b * p) > 0.0:
-                points.add(total * b * p / den)
+                t = total * b * p / den
+                if math.isinf(den) or not math.isfinite(t):
+                    t = total * (0.5 * b * p / (0.5 * a * q + 0.5 * b * p))
+                points.add(t)
         if spec.threshold is not None:
             points.update((spec.threshold / a, total - spec.threshold / b))
     points = sorted(t for t in points if 0.0 <= t <= total)

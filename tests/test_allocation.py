@@ -39,12 +39,16 @@ from fairalloc import (
     score,
 )
 from fairalloc import principles
-from fairalloc.allocation import _share_context
+from fairalloc.allocation import _share_context, _threshold_crossings
 from fairalloc.dispersion import dispersion
-from test_principles import ACCEPTED_SHAPES
+from test_principles import ACCEPTED_SHAPES, READS
 
 STD = DispersionMetric("std_dev")
 MAX_FLOAT = 1.7976931348623157e308
+EPS = 2.0**-52
+# How far a breakpoint optimum may trail a score found between breakpoints,
+# as a shift of t in units of EPS * total (see _rounding_bound).
+ROUNDING_ULPS = 4
 
 
 def cake_problem():
@@ -315,6 +319,9 @@ class TestOptimizeFrontier:
     )
     @example((0.0, 0.0), (1.0, 1.0), MAX_FLOAT, PrincipleSpec("greater_good"), 0.5)
     def test_bitwise_equal_to_the_full_search(self, inputs, retention, total, spec, threshold_share):
+        # A spec whose row keeps the search returns the full search's bits.
+        # Any other spec scores only breakpoints: it raises what the full
+        # search raises, or trails its value by at most _rounding_bound.
         agents = (Agent(id="a", input=inputs[0]), Agent(id="b", input=inputs[1]))
         problem = ContinuousProblem(agents=agents, total=total, retention=dict(zip("ab", retention)))
         if spec.threshold is not None:
@@ -328,7 +335,164 @@ class TestOptimizeFrontier:
                 return type(err), str(err)
             return [t.hex() for t in shares.values], value.hex()
 
-        assert outcome(optimize_frontier) == outcome(oracles.optimize_frontier_full_search)
+        fast, full = outcome(optimize_frontier), outcome(oracles.optimize_frontier_full_search)
+        if principles.peaks_between_breakpoints(spec) or isinstance(fast[0], type):
+            assert fast == full
+        elif not isinstance(full[0], type):  # (it may raise between breakpoints alone)
+            shares = ValueVector(float.fromhex(t) for t in fast[0])
+            sign = -1.0 if direction(spec) == MINIMIZE else 1.0
+            value = float.fromhex(fast[1])
+            gap = sign * (float.fromhex(full[1]) - value)
+            assert gap <= _rounding_bound(problem, spec, shares, value)
+
+    def test_overflow_between_breakpoints_no_longer_refuses(self):
+        # The full search raised here only because fsum overflowed at an
+        # interior point that is no breakpoint; every breakpoint scores total.
+        agents = (Agent(id="a", input=0.0), Agent(id="b", input=0.0))
+        problem = ContinuousProblem(agents=agents, total=MAX_FLOAT, retention={"a": 1.0, "b": 1.0})
+        spec = PrincipleSpec("greater_good")
+        shares, value = optimize_frontier(problem, spec)
+        assert (shares.values, value) == ((0.0, MAX_FLOAT), MAX_FLOAT)
+        with pytest.raises(NonFiniteScoreError):
+            oracles.optimize_frontier_full_search(problem, spec)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.tuples(*[st.sampled_from([0.0, 1.0, 8.0, 12.0]) | st.floats(1e-3, 1e3)] * 2),
+        st.tuples(*[st.floats(0.05, 1.0)] * 2),
+        st.sampled_from([1e-2, 7.0, 1e305, MAX_FLOAT]) | st.floats(1e-2, MAX_FLOAT),
+        st.sampled_from(ACCEPTED_SHAPES),
+        st.floats(0.0, 1.25),
+    )
+    def test_no_scan_point_beats_the_optimum(self, inputs, retention, total, spec, threshold_share):
+        agents = (Agent(id="a", input=inputs[0]), Agent(id="b", input=inputs[1]))
+        problem = ContinuousProblem(agents=agents, total=total, retention=dict(zip("ab", retention)))
+        if spec.threshold is not None:
+            spec = dataclasses.replace(spec, threshold=min(threshold_share * total, MAX_FLOAT))
+        sign = -1.0 if direction(spec) == MINIMIZE else 1.0
+        try:
+            shares, value = optimize_frontier(problem, spec)
+        except DomainError:
+            return
+        for i in range(401):
+            scan_shares = ValueVector((t := i / 400 * total, total - t))
+            try:
+                scanned = sign * score(spec, _share_context(problem, scan_shares)).value
+            except DomainError:
+                continue
+            bound = max(
+                _rounding_bound(problem, spec, shares, value),
+                _rounding_bound(problem, spec, scan_shares, scanned),
+            )
+            assert scanned - sign * value <= bound, t
+
+    def test_equal_ratio_crossing_kept_past_the_float_range(self):
+        # total * b * p overflows at these totals; the crossing is divided first
+        agents = (Agent(id="a", input=800.0), Agent(id="b", input=1200.0))
+        for total in (1e305, 1.7e307, MAX_FLOAT):
+            problem = ContinuousProblem(agents=agents, total=total, retention={"a": 1.0, "b": 1.0})
+            spec = PrincipleSpec("proportion", metric=DispersionMetric("hoover"))
+            shares, value = optimize_frontier(problem, spec)
+            assert value <= 4 * EPS
+            assert shares[0] / 800.0 == pytest.approx(shares[1] / 1200.0, rel=4 * EPS)
+
+    def test_isoelastic_optimum_is_its_closed_form(self):
+        agents = (Agent(id="a", input=1.0), Agent(id="b", input=3.0))
+        problem = ContinuousProblem(agents=agents, total=7.0, retention={"a": 0.5, "b": 0.9})
+        spec = PrincipleSpec("greater_good", mode=DIORTHOTIC, rho=0.5, weights=(1.0, 3.0))
+        q = (3.0 * 0.9**0.5 / (1.0 * 0.5**0.5)) ** (1.0 / 0.5)
+        shares, value = optimize_frontier(problem, spec)
+        assert shares.values == (7.0 / (1.0 + q), 7.0 - 7.0 / (1.0 + q))
+        assert value >= oracles.optimize_frontier_full_search(problem, spec)[1]
+
+    def test_foster_on_utilities_searches_between_breakpoints(self):
+        # the mean of the utilities moves along the frontier, so foster peaks
+        # inside the piece right of the equal-output breakpoint 3.5
+        problem = fishermen_problem()
+        spec = PrincipleSpec("equality", mode=DIORTHOTIC, basis="utility")
+        shares, value = optimize_frontier(problem, spec)
+        assert (shares, value) == oracles.optimize_frontier_full_search(problem, spec)
+        assert 3.5 < shares[0] < 3.501
+
+    def test_one_score_per_breakpoint_without_the_search(self, monkeypatch):
+        calls = _count_scores(monkeypatch)
+        problem = fishermen_problem()
+        for spec in ACCEPTED_SHAPES:
+            if spec.threshold is not None:
+                spec = dataclasses.replace(spec, threshold=2.0)
+            if spec.resolved_basis() == "input" or principles.peaks_between_breakpoints(spec):
+                continue
+            calls.clear()
+            try:
+                optimize_frontier(problem, spec)
+            except DomainError:
+                continue
+            # 0, 7, four equal-value crossings, four threshold crossings
+            # and the isoelastic split, each scored once in ascending t
+            ts = [t for _, t in calls]
+            assert ts == sorted(set(ts)) and 6 <= len(ts) <= 11, spec
+        calls.clear()
+        optimize_frontier(problem, PrincipleSpec("difference"))
+        ts = [t for _, t in calls]
+        assert ts == pytest.approx([0.0, 7 * 0.85 * 8 / 18.2, 2.8, 7 * 0.85 / 1.8, 3.5, 7.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.tuples(*[st.integers(1, 100)] * 2),
+        st.integers(1, 2000),
+        st.integers(1, 2000),
+        st.sampled_from([(DIANEMETIC, None), (DIORTHOTIC, "output"), (DIANEMETIC, "utility")]),
+    )
+    @example((55, 1), 24, 13, (DIANEMETIC, "utility"))  # 0.13 / 0.55 is not the least float
+    @example((37, 30), 1740, 610, (DIANEMETIC, "utility"))  # 0.37 * (6.1 / 0.37) < 6.1
+    def test_sufficiency_reports_the_left_end_of_its_plateau(self, retention, total, threshold, shape):
+        # decimal retention and thresholds, where threshold / r can round
+        # to the insufficient side of the crossing
+        mode, basis = shape
+        agents = (Agent(id="a", input=1.0), Agent(id="b", input=1.0))
+        problem = ContinuousProblem(
+            agents=agents, total=total / 100, retention={"a": retention[0] / 100, "b": retention[1] / 100}
+        )
+        spec = PrincipleSpec("sufficiency", mode=mode, basis=basis, threshold=threshold / 100)
+        shares, value = optimize_frontier(problem, spec)
+        t = shares[0]
+        if t > 0.0:
+            below = math.nextafter(t, 0.0)
+            ctx = _share_context(problem, ValueVector((below, problem.total - below)))
+            assert score(spec, ctx).value < value
+
+    @settings(max_examples=500)
+    @given(
+        st.floats(1e-2, MAX_FLOAT),
+        st.tuples(*[st.floats(0.05, 1.0)] * 2),
+        st.floats(1e-300, 1.0),
+    )
+    def test_threshold_crossings_are_the_last_floats_of_sufficiency(self, total, retention, share):
+        # Both agents are sufficient somewhere on [0, total], neither everywhere.
+        a, b = retention
+        threshold = share * min(a * total, b * total)
+        t_a, t_b = _threshold_crossings(total, threshold, a, b)
+        assert a * t_a >= threshold > a * math.nextafter(t_a, 0.0)
+        assert b * (total - t_b) >= threshold > b * (total - math.nextafter(t_b, math.inf))
+
+    def test_an_agent_sufficient_everywhere_or_nowhere_has_no_crossing(self):
+        assert _threshold_crossings(7.0, 0.0, 1.0, 0.5) == []
+        assert _threshold_crossings(7.0, -1.0, 1.0, 0.5) == []
+        assert _threshold_crossings(7.0, 4.0, 1.0, 0.5) == [4.0]
+        assert _threshold_crossings(7.0, 8.0, 1.0, 0.5) == []
+
+    def test_threshold_crossing_on_a_coarse_grid_of_the_other_share(self):
+        # b's crossing sits far below total, where stepping t down one float
+        # at a time would take about 2**52 steps to move total - t by one
+        agents = (Agent(id="a", input=1.0), Agent(id="b", input=1.0))
+        total, threshold = 0.5 + 3 * 2**-53, 0.3125 + 3 * 2**-54
+        problem = ContinuousProblem(agents=agents, total=total, retention={"a": 1.0, "b": 0.625})
+        t_a, t_b = _threshold_crossings(total, threshold, 1.0, 0.625)
+        assert 0.625 * (total - t_b) >= threshold > 0.625 * (total - math.nextafter(t_b, 1.0))
+        for basis in ("output", "utility"):
+            spec = PrincipleSpec("sufficiency", mode=DIORTHOTIC, basis=basis, threshold=threshold)
+            shares, value = optimize_frontier(problem, spec)
+            assert (shares.values, value) == ((0.0, total), 0.5)
 
     @pytest.mark.parametrize("mode", [DIANEMETIC, DIORTHOTIC])
     def test_an_input_based_principle_is_scored_once(self, monkeypatch, mode):
@@ -366,16 +530,35 @@ class TestOptimizeFrontier:
 
 
 def _count_scores(monkeypatch):
-    """Count score calls made by optimize_frontier and by the oracle alike."""
+    """Record (principle, t) per score call of optimize_frontier and of the oracle alike."""
     calls = []
 
     def counted(spec, ctx):
-        calls.append(spec.principle)
+        calls.append((spec.principle, ctx.outputs[0]))
         return score(spec, ctx)
 
     monkeypatch.setattr("fairalloc.allocation.score", counted)
     monkeypatch.setattr(principles, "score", counted)
     return calls
+
+
+def _rounding_bound(problem, spec, shares, value):
+    """The most a shift of t by ROUNDING_ULPS units of EPS * total moves a score near shares.
+
+    A sufficiency score is a step at exactly placed crossings and may not
+    move at all. A scale-free dispersion (any metric but std_dev) moves by
+    at most the shift over the smaller share, relative to the score. Any
+    other score moves by at most the shift, over the smallest input where
+    it reads share-to-input ratios, plus its own rounding.
+    """
+    shift = ROUNDING_ULPS * EPS * problem.total
+    if spec.threshold is not None:
+        return 0.0
+    if "metric" in READS[spec.principle, spec.mode] and spec.resolved_metric().kind != "std_dev":
+        smaller = min([s for s in shares.values if s > 0.0], default=problem.total)
+        return shift / smaller * max(1.0, abs(value))
+    inputs = [x for x in problem.inputs.values if x > 0.0]
+    return shift * max([1.0, *(1.0 / x for x in inputs)]) + ROUNDING_ULPS * EPS * abs(value)
 
 
 def _foster_closed_form(t):
