@@ -259,14 +259,10 @@ def optimize_frontier(
     and a point replaces the best only if it scores strictly better, so ties
     go to a breakpoint and then to the smaller t, and a plateau reports its
     left end. An input-based principle has one score on the whole frontier:
-    it is scored once and proposes t = 0. The returned value is the best
-    point's score. ``resolution`` has no effect.
+    every breakpoint ties, so it proposes t = 0. The returned value is the
+    best point's score. ``resolution`` has no effect.
     """
     total = problem.total
-    basis = spec.resolved_basis()
-    if basis == BASIS_INPUT:
-        ctx = _share_context(problem, ValueVector((0.0, total)))
-        return ctx.outputs, score(spec, ctx).value
     sign = -1.0 if principle_direction(spec) == MINIMIZE else 1.0
 
     def objective(t: float) -> float:
@@ -288,7 +284,7 @@ def optimize_frontier(
     weights = spec.weights or (1.0, 1.0)
     if spec.rho is not None and 0.0 < spec.rho < math.inf and len(weights) == 2:
         # isoelastic welfare is concave on the frontier, with this maximum
-        c = problem.retention_factors() if basis == BASIS_UTILITY else (1.0, 1.0)
+        c = problem.retention_factors() if spec.resolved_basis() == BASIS_UTILITY else (1.0, 1.0)
         e = 1.0 - spec.rho
         try:
             q = (weights[1] * c[1] ** e / (weights[0] * c[0] ** e)) ** (1.0 / spec.rho)
@@ -498,8 +494,10 @@ def continuous_ranking(
 ) -> RankingTable:
     """Rank the per-principle frontier optima of a continuous problem.
 
-    Each principle proposes its optimal split; the deduplicated proposals
-    form the candidate set, which is then scored under every principle.
+    Each principle proposes its optimal split; the distinct splits form the
+    candidate set, which is then scored under every principle. Each
+    candidate is labelled ``t=`` and its split in the fewest significant
+    digits, 9 to 17, that tell every candidate of the ranking apart.
     """
     optima: list[float] = []
     for label, spec in zip(principle_labels, specs):
@@ -508,12 +506,10 @@ def continuous_ranking(
         except DomainError as err:
             raise ScoringError(label, "frontier", err) from err
         optima.append(shares[0])
-    by_label: dict[str, float] = {}
-    for t in sorted(set(optima)):
-        by_label.setdefault(f"t={t:.9g}", t)
-    labels = list(by_label)
-    contexts = [
-        frontier_context(problem, ValueVector((t, problem.total - t)))
-        for t in by_label.values()
-    ]
+    splits = sorted(set(optima))
+    for digits in range(9, 18):  # 17 digits tell any two floats apart
+        labels = [f"t={t:.{digits}g}" for t in splits]
+        if len(set(labels)) == len(labels):
+            break
+    contexts = [_share_context(problem, ValueVector((t, problem.total - t))) for t in splits]
     return build_ranking(labels, contexts, principle_labels, specs, weights)

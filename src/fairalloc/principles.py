@@ -84,11 +84,9 @@ class PrincipleSpec:
 
 @dataclass(frozen=True)
 class PrincipleScore:
-    """A principle's value for one allocation plus its optimization direction."""
+    """A principle's value for one allocation; its direction is ``direction(spec)``."""
 
-    spec: PrincipleSpec
     value: float
-    direction: str
 
 
 def direction(spec: PrincipleSpec) -> str:
@@ -120,7 +118,7 @@ def score(spec: PrincipleSpec, ctx: AllocationContext) -> PrincipleScore:
         raise NonFiniteScoreError("arithmetic overflow") from None
     if not math.isfinite(value):
         raise NonFiniteScoreError(f"non-finite score {value!r}")
-    return PrincipleScore(spec, value, scoring.direction)
+    return PrincipleScore(value)
 
 
 def score_column(
