@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
@@ -238,6 +239,71 @@ def _threshold_crossings(total: float, threshold: float, a: float, b: float) -> 
     return crossings
 
 
+def _log_ratio(p: float, q: float) -> float:
+    """ln(p / q) for p, q > 0: the log of the quotient where it is a normal float."""
+    r = p / q
+    return math.log(r) if sys.float_info.min <= r < math.inf else math.log(p) - math.log(q)
+
+
+def _foster_peaks(total: float, a: float, b: float) -> list[float]:
+    """Floats around each local maximum of foster on the utilities (a t, b (total - t)).
+
+    With U = a t + b (total - t), d ln foster / dt has the sign of
+    g(t) = (a - b) U / total - a b ln(a t / (b (total - t))). g falls from
+    +inf at 0 to -inf at total and turns only where (t / total)(1 - t /
+    total) = a b / (a - b)^2, so it has at most three monotone stretches.
+    For each stretch on which g falls through 0, the last float with g > 0
+    and its successor are returned; they bracket the exact root. A float
+    bisection finds the root to within a few floats, and g's sign in
+    50-digit decimal arithmetic moves it to the exact float. With a == b
+    the only root is total / 2, the equal-utility breakpoint.
+    """
+    if a == b:
+        return []
+    # g's sign is unchanged by scaling a and b alike; scaled to a max of 1,
+    # the product a b cannot underflow to 0
+    m = max(a, b)
+    a_1, b_1 = a / m, b / m
+    log_ab = _log_ratio(a, b)
+
+    def rises(t: float) -> bool:  # g(t) > 0 in float arithmetic
+        s = total - t
+        u = a_1 * (t / total) + b_1 * (s / total)
+        return (a_1 - b_1) * u > a_1 * b_1 * (log_ab + _log_ratio(t, s))
+
+    import decimal  # here, not at the top: loading it adds about 3 ms to every start-up
+
+    # 50 digits tell g's sign apart between neighbouring floats; with no
+    # trap, an exp past the decimal range compares as infinite
+    exact = decimal.Context(prec=50, traps=[])
+
+    def rises_exactly(t: float) -> bool:  # exp((a - b) U / (a b total)) > a t / (b (total - t))
+        with decimal.localcontext(exact):
+            w, x, ca, cb = (decimal.Decimal(v) for v in (total, t, a, b))
+            ua, ub = ca * x, cb * (w - x)
+            return ((ca - cb) * (ua + ub) / (w * ca * cb)).exp() > ua / ub
+
+    ends = [0.0, total]
+    r = m / min(a, b)
+    if (d := r - 2.0 + 1.0 / r) >= 4.0:  # g turns where x (1 - x) = 1 / d, x = t / total
+        t = total * (2.0 / d / (1.0 + math.sqrt(1.0 - 4.0 / d)))
+        ends[1:1] = [t for t in (t, total - t) if 0.0 < t < total]
+    signs = [True, *map(rises, ends[1:-1]), False]
+    peaks = []
+    for lo, hi, up, down in zip(ends, ends[1:], signs, signs[1:]):
+        if not up or down:
+            continue
+        t = _edge(rises, lo, hi)
+        inside, outside, step = t, math.nextafter(t, hi), math.ulp(t)
+        while inside > lo and not rises_exactly(inside):
+            inside, step = max(lo, inside - step), 2.0 * step
+        while outside < hi and rises_exactly(outside):
+            outside, step = min(hi, outside + step), 2.0 * step
+        t = _edge(rises_exactly, inside, outside)
+        peaks += [t, math.nextafter(t, hi)]
+    return peaks
+
+
 def optimize_frontier(
     problem: ContinuousProblem, spec: PrincipleSpec, resolution: int | None = None
 ) -> tuple[ValueVector, float]:
@@ -250,16 +316,17 @@ def optimize_frontier(
     agent a is sufficient, the greatest at which agent b is), and, for
     isoelastic welfare with 0 < rho < inf, its closed-form maximum
     t = total / (1 + q), q = (w_b c_b^(1-rho) / (w_a c_a^(1-rho)))^(1/rho)
-    with c the retention on the utility basis and 1 on the output basis.
-    Between neighbouring breakpoints every score is monotone, except where
-    the spec's row declares that it can peak inside a piece
-    (``peaks_between_breakpoints``, today foster on utilities); only then
-    does a ternary search run on each piece, ending when a step leaves its
-    interval unchanged. The breakpoints are scored once each in ascending t,
-    and a point replaces the best only if it scores strictly better, so ties
-    go to a breakpoint and then to the smaller t, and a plateau reports its
-    left end. An input-based principle has one score on the whole frontier:
-    every breakpoint ties, so it proposes t = 0. The returned value is the
+    with c the retention on the utility basis and 1 on the output basis,
+    and, where the spec's row declares that its score can peak inside a
+    piece between those (``peaks_between_breakpoints``, foster on
+    utilities), the two floats around each local maximum, from the sign of
+    its closed-form derivative (``_foster_peaks``). No score then peaks
+    strictly between neighbouring breakpoints, so nothing is searched. The
+    breakpoints are scored once each in ascending t, and a point replaces
+    the best only if it scores strictly better, so ties go to the smaller
+    t and a plateau reports its left end. An input-based principle has one
+    score on the whole frontier: every breakpoint ties, so it proposes
+    t = 0. The returned value is the
     best point's score. ``resolution`` has no effect.
     """
     total = problem.total
@@ -292,30 +359,13 @@ def optimize_frontier(
             pass  # q is past the float range
         else:
             points.add(total / (1.0 + q))
+    if peaks_between_breakpoints(spec):
+        points.update(_foster_peaks(total, *problem.retention_factors()))
     points = sorted(t for t in points if 0.0 <= t <= total)
 
     values = [objective(t) for t in points]
     best_val = max(values)
     best_t = points[values.index(best_val)]
-    if peaks_between_breakpoints(spec):
-        for lo, hi in zip(points, points[1:]):
-            for _ in range(100):
-                m1 = lo + (hi - lo) / 3.0
-                m2 = hi - (hi - lo) / 3.0
-                if objective(m1) >= objective(m2):
-                    if hi == m2:
-                        break
-                    hi = m2
-                else:
-                    if lo == m1:
-                        break
-                    lo = m1
-            t = 0.5 * (lo + hi)
-            if math.isinf(t):  # lo + hi is past the float range
-                t = 0.5 * lo + 0.5 * hi
-            if (val := objective(t)) > best_val:
-                best_t, best_val = t, val
-
     return ValueVector((best_t, total - best_t)), sign * best_val
 
 

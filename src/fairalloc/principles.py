@@ -95,10 +95,12 @@ def direction(spec: PrincipleSpec) -> str:
 
 
 def peaks_between_breakpoints(spec: PrincipleSpec) -> bool:
-    """Whether the score can peak strictly inside a piece of the two-agent frontier.
+    """Whether the score can peak strictly between the frontier's fixed breakpoints.
 
-    The pieces lie between the frontier optimizer's breakpoints. Every other
-    score is monotone on each piece, so one of the breakpoints is its optimum.
+    The fixed breakpoints are the ends, equal-value crossings, sufficiency
+    edges and the isoelastic maximum; every other score is monotone between
+    them. The frontier optimizer adds such a score's critical points, in
+    closed form, as further breakpoints.
     """
     row = _SCORING[spec.principle, spec.mode]
     return (spec.variant or row.variants[0], spec.resolved_basis()) in row.interior_peaks
@@ -191,7 +193,8 @@ class _Scoring(NamedTuple):
     threshold: bool = False
     welfare: bool = False
     # The (variant, basis) pairs whose score can peak strictly between two
-    # frontier breakpoints; the frontier optimizer searches only inside those.
+    # fixed frontier breakpoints; the frontier optimizer adds their critical
+    # points as breakpoints.
     interior_peaks: tuple[tuple[str | None, str], ...] = ()
 
 
@@ -210,7 +213,8 @@ _SCORING = {
     ("equality", DIANEMETIC): _Scoring(MINIMIZE, _dispersion, metric=True),
     # foster = mean * exp(-Theil T): on utilities the mean moves along the
     # frontier while exp(-T) is unimodal, so their product can peak between
-    # breakpoints; on outputs the mean is constant and foster is monotone.
+    # fixed breakpoints, at a root of its closed-form derivative; on outputs
+    # the mean is constant and foster is monotone between them.
     ("equality", DIORTHOTIC): _Scoring(
         MAXIMIZE,
         _capability_welfare,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -40,8 +41,8 @@ def optimize_frontier_full_search(problem, spec):
     100 ternary steps on every piece between them. The breakpoints are
     ``optimize_frontier``'s without the isoelastic split, and with each
     threshold crossing as the quotient rounds. ``optimize_frontier``
-    must match it bit for bit where the spec's row keeps the search, and
-    elsewhere not trail it by more than rounding. Scores go through
+    must raise what it raises, or not trail its value by more than
+    rounding. Scores go through
     ``principles.score``, looked up at each call, so a test can count them.
     """
     total = problem.total
@@ -80,6 +81,47 @@ def optimize_frontier_full_search(problem, spec):
         if (val := objective(t)) > best_val:
             best_t, best_val = t, val
     return ValueVector((best_t, total - best_t)), sign * best_val
+
+
+def foster_argmax(total, retention) -> Decimal:
+    """The t that maximizes foster on utilities (c_a t, c_b (total - t)), to 50 digits.
+
+    Total and retention are taken exactly. d ln foster / dt has the sign of
+    g(t) = (c_a - c_b) U / total - c_a c_b ln(u_a / u_b), which turns where
+    t (total - t) / total^2 = c_a c_b / (c_a - c_b)^2. Each stretch between
+    0, those turning points and total on which g falls through 0 is bisected
+    in decimal arithmetic to its root, a local maximum; the roots are
+    compared by ln foster = ln U - s ln s - (1 - s) ln(1 - s), s = u_a / U.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        w = Decimal(total)
+        a, b = (Decimal(c) for c in retention)
+
+        def g(t):
+            u_a, u_b = a * t, b * (w - t)
+            return (a - b) * (u_a + u_b) / w - a * b * (u_a / u_b).ln()
+
+        def ln_foster(t):
+            u_a, u_b = a * t, b * (w - t)
+            s = u_a / (u_a + u_b)
+            return (u_a + u_b).ln() - s * s.ln() - (1 - s) * (1 - s).ln()
+
+        ends = [Decimal(0), w]
+        if (a - b) ** 2 >= 4 * a * b:
+            k = a * b / (a - b) ** 2
+            x = (1 - (1 - 4 * k).sqrt()) / 2
+            ends[1:1] = [w * x, w * (1 - x)]
+        rising = [True, *(g(t) > 0 for t in ends[1:-1]), False]
+        peaks = []
+        for i in range(len(ends) - 1):
+            lo, hi = ends[i], ends[i + 1]
+            if rising[i] and not rising[i + 1]:
+                while hi - lo > w * Decimal("1e-45"):
+                    mid = (lo + hi) / 2
+                    lo, hi = (mid, hi) if g(mid) > 0 else (lo, mid)
+                peaks.append(lo)
+        return max(peaks, key=ln_foster)
 
 
 def evaluate_csv_by_row(table) -> str:

@@ -39,7 +39,7 @@ from fairalloc import (
     score,
 )
 from fairalloc import principles
-from fairalloc.allocation import _share_context, _threshold_crossings
+from fairalloc.allocation import _foster_peaks, _share_context, _threshold_crossings
 from fairalloc.dispersion import dispersion
 from test_principles import ACCEPTED_SHAPES, READS
 
@@ -318,10 +318,9 @@ class TestOptimizeFrontier:
         st.floats(0.0, 1.25),
     )
     @example((0.0, 0.0), (1.0, 1.0), MAX_FLOAT, PrincipleSpec("greater_good"), 0.5)
-    def test_bitwise_equal_to_the_full_search(self, inputs, retention, total, spec, threshold_share):
-        # A spec whose row keeps the search returns the full search's bits.
-        # Any other spec scores only breakpoints: it raises what the full
-        # search raises, or trails its value by at most _rounding_bound.
+    def test_within_rounding_of_the_full_search(self, inputs, retention, total, spec, threshold_share):
+        # Every spec scores only breakpoints: it raises what the full search
+        # raises, or trails its value by at most _rounding_bound.
         agents = (Agent(id="a", input=inputs[0]), Agent(id="b", input=inputs[1]))
         problem = ContinuousProblem(agents=agents, total=total, retention=dict(zip("ab", retention)))
         if spec.threshold is not None:
@@ -336,7 +335,7 @@ class TestOptimizeFrontier:
             return [t.hex() for t in shares.values], value.hex()
 
         fast, full = outcome(optimize_frontier), outcome(oracles.optimize_frontier_full_search)
-        if principles.peaks_between_breakpoints(spec) or isinstance(fast[0], type):
+        if isinstance(fast[0], type):
             assert fast == full
         elif not isinstance(full[0], type):  # (it may raise between breakpoints alone)
             shares = ValueVector(float.fromhex(t) for t in fast[0])
@@ -405,14 +404,42 @@ class TestOptimizeFrontier:
         assert shares.values == (7.0 / (1.0 + q), 7.0 - 7.0 / (1.0 + q))
         assert value >= oracles.optimize_frontier_full_search(problem, spec)[1]
 
-    def test_foster_on_utilities_searches_between_breakpoints(self):
+    def test_foster_on_utilities_peaks_at_its_critical_point(self):
         # the mean of the utilities moves along the frontier, so foster peaks
-        # inside the piece right of the equal-output breakpoint 3.5
+        # inside the piece right of the equal-output breakpoint 3.5, at the
+        # float nearest the root of its derivative, 3.50040282532102845...
         problem = fishermen_problem()
         spec = PrincipleSpec("equality", mode=DIORTHOTIC, basis="utility")
         shares, value = optimize_frontier(problem, spec)
-        assert (shares, value) == oracles.optimize_frontier_full_search(problem, spec)
-        assert 3.5 < shares[0] < 3.501
+        assert shares.values == (3.5004028253210286, 7.0 - 3.5004028253210286)
+        assert float(oracles.foster_argmax(7.0, (0.95, 0.85))) == shares[0]
+        full_value = oracles.optimize_frontier_full_search(problem, spec)[1]
+        assert full_value - value <= _rounding_bound(problem, spec, shares, value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([1e-2, 7.0, 1e308, MAX_FLOAT]) | st.floats(1e-2, MAX_FLOAT),
+        st.tuples(*[st.floats(0.05, 1.0)] * 2)
+        | st.floats(0.05, 1.0).map(lambda c: (c, c))
+        # ratios on both sides of 3 + 2 sqrt 2, where g starts to turn
+        | st.tuples(
+            st.floats(0.05, 0.12),
+            st.floats(4.0, 8.0) | st.sampled_from([5.828427124746189, 5.82842712474619]),
+            st.booleans(),
+        ).map(lambda x: (x[0] * x[1], x[0])[:: 1 if x[2] else -1]),
+    )
+    @example(7.0, (0.95, 0.85))
+    @example(1e-2, (1.0, 0.75))
+    def test_foster_on_utilities_is_the_decimal_argmax(self, total, retention):
+        agents = (Agent(id="a", input=1.0), Agent(id="b", input=1.0))
+        problem = ContinuousProblem(agents=agents, total=total, retention=dict(zip("ab", retention)))
+        spec = PrincipleSpec("equality", mode=DIORTHOTIC, basis="utility")
+        ref = float(oracles.foster_argmax(total, retention))
+        assert ref in _foster_peaks(total, *retention) or retention[0] == retention[1]
+        shares, value = optimize_frontier(problem, spec)
+        at_ref = score(spec, _share_context(problem, ValueVector((ref, total - ref)))).value
+        # the nearest float to the peak, or a breakpoint that scores no worse
+        assert abs(shares[0] - ref) <= 2 * math.ulp(ref) or value >= at_ref
 
     def test_one_score_per_breakpoint_without_the_search(self, monkeypatch):
         calls = _count_scores(monkeypatch)
@@ -420,15 +447,16 @@ class TestOptimizeFrontier:
         for spec in ACCEPTED_SHAPES:
             if spec.threshold is not None:
                 spec = dataclasses.replace(spec, threshold=2.0)
-            if spec.resolved_basis() == "input" or principles.peaks_between_breakpoints(spec):
+            if spec.resolved_basis() == "input":
                 continue
             calls.clear()
             try:
                 optimize_frontier(problem, spec)
             except DomainError:
                 continue
-            # 0, 7, four equal-value crossings, four threshold crossings
-            # and the isoelastic split, each scored once in ascending t
+            # 0, 7, four equal-value crossings, four threshold crossings,
+            # the isoelastic split and two floats around foster's peak, each
+            # scored once in ascending t
             ts = [t for _, t in calls]
             assert ts == sorted(set(ts)) and 6 <= len(ts) <= 11, spec
         calls.clear()
