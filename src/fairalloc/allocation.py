@@ -12,10 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import sys
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .core import Agent, AllocationContext, ValueVector
 from .errors import DomainError, NonFiniteScoreError, ScoringError
@@ -25,7 +24,7 @@ from .principles import (
     MINIMIZE,
     PrincipleSpec,
     direction as principle_direction,
-    peaks_between_breakpoints,
+    frontier_breakpoints,
     score,
     score_column,
 )
@@ -92,7 +91,10 @@ class DiscreteProblem:
             unknown = set(piece.bonus) - ids
             if unknown:
                 raise ValueError(f"piece {i}: bonus for unknown agents {sorted(unknown)}")
-        total = math.fsum(p.amount for p in self.pieces)
+        try:
+            total = math.fsum(p.amount for p in self.pieces)
+        except OverflowError:  # the exact sum is past the float range
+            total = math.inf
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"piece amounts must sum to 1, got {total!r}")
         gains = tuple(
@@ -192,7 +194,10 @@ def evaluate_discrete(
 
 def frontier_context(problem: ContinuousProblem, shares: ValueVector) -> AllocationContext:
     """Context for shares on the efficient frontier (shares exhaust the total)."""
-    total = math.fsum(shares.values)
+    try:
+        total = math.fsum(shares.values)
+    except OverflowError:  # the exact sum is past the float range
+        total = math.inf
     if abs(total - problem.total) > _FRONTIER_TOLERANCE * max(1.0, problem.total):
         raise ValueError(f"shares sum to {total!r}, expected {problem.total!r}")
     return _share_context(problem, shares)
@@ -208,102 +213,6 @@ def _share_context(problem: ContinuousProblem, shares: ValueVector) -> Allocatio
     )
 
 
-def _edge(holds: Callable[[float], bool], inside: float, outside: float) -> float:
-    """The float next to ``outside``'s side at which monotone ``holds`` last holds.
-
-    ``holds`` is true at ``inside`` and false at ``outside``; halving the gap
-    between them ends at two neighbouring floats.
-    """
-    while (mid := inside + (outside - inside) / 2.0) not in (inside, outside):
-        if holds(mid):
-            inside = mid
-        else:
-            outside = mid
-    return inside
-
-
-def _threshold_crossings(total: float, threshold: float, a: float, b: float) -> list[float]:
-    """Where each agent's value on the frontier (t, total - t) crosses the threshold.
-
-    Agent a is sufficient from t_a on, the least float t with a * t >=
-    threshold, so a plateau of sufficiency keeps its left end; agent b is
-    sufficient up to t_b, the greatest float t with b * (total - t) >=
-    threshold. An agent sufficient everywhere or nowhere on [0, total] has
-    no crossing.
-    """
-    crossings = []
-    if 0.0 < threshold <= a * total:
-        crossings.append(_edge(lambda t: a * t >= threshold, total, 0.0))
-    if 0.0 < threshold <= b * total:
-        crossings.append(_edge(lambda t: b * (total - t) >= threshold, 0.0, total))
-    return crossings
-
-
-def _log_ratio(p: float, q: float) -> float:
-    """ln(p / q) for p, q > 0: the log of the quotient where it is a normal float."""
-    r = p / q
-    return math.log(r) if sys.float_info.min <= r < math.inf else math.log(p) - math.log(q)
-
-
-def _foster_peaks(total: float, a: float, b: float) -> list[float]:
-    """Floats around each local maximum of foster on the utilities (a t, b (total - t)).
-
-    With U = a t + b (total - t), d ln foster / dt has the sign of
-    g(t) = (a - b) U / total - a b ln(a t / (b (total - t))). g falls from
-    +inf at 0 to -inf at total and turns only where (t / total)(1 - t /
-    total) = a b / (a - b)^2, so it has at most three monotone stretches.
-    For each stretch on which g falls through 0, the last float with g > 0
-    and its successor are returned; they bracket the exact root. A float
-    bisection finds the root to within a few floats, and g's sign in
-    50-digit decimal arithmetic moves it to the exact float. With a == b
-    the only root is total / 2, the equal-utility breakpoint.
-    """
-    if a == b:
-        return []
-    # g's sign is unchanged by scaling a and b alike; scaled to a max of 1,
-    # the product a b cannot underflow to 0
-    m = max(a, b)
-    a_1, b_1 = a / m, b / m
-    log_ab = _log_ratio(a, b)
-
-    def rises(t: float) -> bool:  # g(t) > 0 in float arithmetic
-        s = total - t
-        u = a_1 * (t / total) + b_1 * (s / total)
-        return (a_1 - b_1) * u > a_1 * b_1 * (log_ab + _log_ratio(t, s))
-
-    import decimal  # here, not at the top: loading it adds about 3 ms to every start-up
-
-    # 50 digits tell g's sign apart between neighbouring floats; with no
-    # trap, an exp past the decimal range compares as infinite
-    exact = decimal.Context(prec=50, traps=[])
-
-    def rises_exactly(t: float) -> bool:  # exp((a - b) U / (a b total)) > a t / (b (total - t))
-        with decimal.localcontext(exact):
-            w, x, ca, cb = (decimal.Decimal(v) for v in (total, t, a, b))
-            ua, ub = ca * x, cb * (w - x)
-            return ((ca - cb) * (ua + ub) / (w * ca * cb)).exp() > ua / ub
-
-    ends = [0.0, total]
-    r = m / min(a, b)
-    if (d := r - 2.0 + 1.0 / r) >= 4.0:  # g turns where x (1 - x) = 1 / d, x = t / total
-        t = total * (2.0 / d / (1.0 + math.sqrt(1.0 - 4.0 / d)))
-        ends[1:1] = [t for t in (t, total - t) if 0.0 < t < total]
-    signs = [True, *map(rises, ends[1:-1]), False]
-    peaks = []
-    for lo, hi, up, down in zip(ends, ends[1:], signs, signs[1:]):
-        if not up or down:
-            continue
-        t = _edge(rises, lo, hi)
-        inside, outside, step = t, math.nextafter(t, hi), math.ulp(t)
-        while inside > lo and not rises_exactly(inside):
-            inside, step = max(lo, inside - step), 2.0 * step
-        while outside < hi and rises_exactly(outside):
-            outside, step = min(hi, outside + step), 2.0 * step
-        t = _edge(rises_exactly, inside, outside)
-        peaks += [t, math.nextafter(t, hi)]
-    return peaks
-
-
 def optimize_frontier(
     problem: ContinuousProblem, spec: PrincipleSpec, resolution: int | None = None
 ) -> tuple[ValueVector, float]:
@@ -312,22 +221,14 @@ def optimize_frontier(
     The frontier of a two-agent problem is one-dimensional: shares are
     (t, total - t). The breakpoints are 0, total, the points where the
     agents' outputs or utilities (each as is or over the agent's input) are
-    equal, the edges of each agent's sufficiency (the least t at which
-    agent a is sufficient, the greatest at which agent b is), and, for
-    isoelastic welfare with 0 < rho < inf, its closed-form maximum
-    t = total / (1 + q), q = (w_b c_b^(1-rho) / (w_a c_a^(1-rho)))^(1/rho)
-    with c the retention on the utility basis and 1 on the output basis,
-    and, where the spec's row declares that its score can peak inside a
-    piece between those (``peaks_between_breakpoints``, foster on
-    utilities), the two floats around each local maximum, from the sign of
-    its closed-form derivative (``_foster_peaks``). No score then peaks
-    strictly between neighbouring breakpoints, so nothing is searched. The
-    breakpoints are scored once each in ascending t, and a point replaces
-    the best only if it scores strictly better, so ties go to the smaller
-    t and a plateau reports its left end. An input-based principle has one
-    score on the whole frontier: every breakpoint ties, so it proposes
-    t = 0. The returned value is the
-    best point's score. ``resolution`` has no effect.
+    equal, and the splits where the spec's own score can turn
+    (``frontier_breakpoints``). No score peaks strictly between
+    neighbouring breakpoints, so nothing is searched. The breakpoints are
+    scored once each in ascending t, and a point replaces the best only if
+    it scores strictly better, so ties go to the smaller t and a plateau
+    reports its left end. An input-based principle has one score on the
+    whole frontier: every breakpoint ties, so it proposes t = 0. The
+    returned value is the best point's score. ``resolution`` has no effect.
     """
     total = problem.total
     sign = -1.0 if principle_direction(spec) == MINIMIZE else 1.0
@@ -336,8 +237,10 @@ def optimize_frontier(
         ctx = _share_context(problem, ValueVector((t, total - t)))
         return sign * score(spec, ctx).value
 
-    points = {0.0, total}
-    for a, b in ((1.0, 1.0), problem.retention_factors()):
+    retention = problem.retention_factors()
+    factors = retention if spec.resolved_basis() == BASIS_UTILITY else (1.0, 1.0)
+    points = {0.0, total, *frontier_breakpoints(spec, total, *factors)}
+    for a, b in ((1.0, 1.0), retention):
         for p, q in ((1.0, 1.0), problem.inputs.values):
             # a*t/p == b*(total - t)/q, in the form that is exact on round
             # inputs; where that overflows, divide first
@@ -346,21 +249,6 @@ def optimize_frontier(
                 if math.isinf(den) or not math.isfinite(t):
                     t = total * (0.5 * b * p / (0.5 * a * q + 0.5 * b * p))
                 points.add(t)
-        if spec.threshold is not None:
-            points.update(_threshold_crossings(total, spec.threshold, a, b))
-    weights = spec.weights or (1.0, 1.0)
-    if spec.rho is not None and 0.0 < spec.rho < math.inf and len(weights) == 2:
-        # isoelastic welfare is concave on the frontier, with this maximum
-        c = problem.retention_factors() if spec.resolved_basis() == BASIS_UTILITY else (1.0, 1.0)
-        e = 1.0 - spec.rho
-        try:
-            q = (weights[1] * c[1] ** e / (weights[0] * c[0] ** e)) ** (1.0 / spec.rho)
-        except (OverflowError, ZeroDivisionError):
-            pass  # q is past the float range
-        else:
-            points.add(total / (1.0 + q))
-    if peaks_between_breakpoints(spec):
-        points.update(_foster_peaks(total, *problem.retention_factors()))
     points = sorted(t for t in points if 0.0 <= t <= total)
 
     values = [objective(t) for t in points]

@@ -444,6 +444,7 @@ CONTRACT_FILES = {
         {"amount": 0.4, "bonus": {"A": 1e308}},
         {"amount": 0.4},
     ])),
+    "cake-huge-amounts.json": json.dumps(_cake(pieces=[{"amount": 1e308}, {"amount": 1e308}])),
     "cake-unknown-bonus.json": json.dumps(_cake(pieces=[
         {"amount": 0.2},
         {"amount": 0.4, "bonus": {"C": 0.1}},
@@ -539,6 +540,9 @@ ERROR_CONTRACT = [
      "NonFiniteScore: non-finite score inf"),
     ("evaluate-huge-bonus", ["evaluate", "--config", "{tmp}/cake-huge-bonus.json"], 2,
      "error: $.pieces: utility of agent 'A' with every piece is not finite"),
+    # the exact sum of the amounts is past the float range
+    ("evaluate-huge-amounts", ["evaluate", "--config", "{tmp}/cake-huge-amounts.json"], 2,
+     "error: $.pieces: piece amounts must sum to 1, got inf"),
     ("evaluate-unknown-bonus-agent", ["evaluate", "--config", "{tmp}/cake-unknown-bonus.json"], 2,
      "error: $.pieces: piece 1: bonus for unknown agents ['C']"),
     # scenario 2's utilities sum past the float range; their mean does not
