@@ -23,9 +23,12 @@ class ValueVector:
     Nonnegativity is enforced at construction because every downstream
     statistic (dispersion metrics, welfare functions) is defined on
     nonnegative values only. Assigning or deleting the values is refused.
+    A vector of at least ``LONG`` elements keeps its exact sum and its
+    ascending order after their first use (see :func:`kept_sum`); equality
+    and hashing read the values alone.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "_kept")
 
     values: tuple[float, ...]
 
@@ -65,6 +68,46 @@ class ValueVector:
 
 
 _store_values = ValueVector.values.__set__  # the slot's own setter, past __setattr__
+_store_kept = ValueVector._kept.__set__
+
+LONG = 128
+"""Length from which a vector keeps its exact sum and ascending order.
+
+Shorter vectors recompute both on each use. Their statistics skip the call
+too: a hot caller reads :func:`kept_sum` or :func:`kept_order` only for
+``len(v.values) >= LONG``. From about this length, a fresh vector scored by
+two statistics that read its sum costs no more when they are kept.
+"""
+
+
+def _kept(v: ValueVector, compute):
+    # compute(v.values), kept in v's private slot after its first use if v is long.
+    # A compute that raises (fsum past the float range) keeps nothing, so it
+    # raises again at the same point on the next use.
+    if len(v.values) < LONG:
+        return compute(v.values)
+    kept = getattr(v, "_kept", None)
+    if kept is None:
+        kept = {}
+        _store_kept(v, kept)
+    value = kept.get(compute)
+    if value is None:
+        value = kept[compute] = compute(v.values)
+    return value
+
+
+def _ascending(values: tuple[float, ...]) -> tuple[float, ...]:
+    return tuple(sorted(values))  # a tuple: no reader can reorder the kept order
+
+
+def kept_sum(v: ValueVector) -> float:
+    """``math.fsum(v.values)``; a vector of ``LONG`` or more elements keeps it."""
+    return _kept(v, math.fsum)
+
+
+def kept_order(v: ValueVector) -> tuple[float, ...]:
+    """``sorted(v.values)`` as a tuple; a vector of ``LONG`` or more elements keeps it."""
+    return _kept(v, _ascending)
 
 
 @dataclass(frozen=True)
@@ -123,8 +166,10 @@ def overflow_safe(degree: int):
 def mean(v: ValueVector) -> float:
     """Arithmetic mean of the elements; finite even where their sum is not."""
     # Not declared overflow_safe: the wrapper's frame would cost every caller.
+    values = v.values
+    n = len(values)
     try:
-        return math.fsum(v.values) / len(v.values)
+        return (math.fsum(values) if n < LONG else kept_sum(v)) / n
     except OverflowError:
         return _rescaled(mean, v, 1)
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import Sequence
 
-from .core import ValueVector, mean, overflow_safe
+from .core import LONG, ValueVector, kept_order, kept_sum, mean, overflow_safe
 from .errors import (
     DegeneratePopulationError,
     ZeroBottomShareError,
@@ -73,13 +74,15 @@ def gini(v: ValueVector) -> float:
     Computed from the sorted vector in O(n log n); equals the O(n^2)
     pairwise-sum definition.
     """
-    total = math.fsum(v.values)
+    values = v.values
+    n = len(values)
+    total = math.fsum(values) if n < LONG else kept_sum(v)
     if total == 0.0:
         raise ZeroSumError("gini undefined for an all-zero vector")
-    n = len(v.values)
     if math.isinf(n * total):  # covers the weighted sum too: it is at most n * total
         raise OverflowError("n * sum is past the float range")
-    weighted = math.fsum((i + 1) * x for i, x in enumerate(sorted(v.values)))
+    ordered = sorted(values) if n < LONG else kept_order(v)
+    weighted = math.fsum((i + 1) * x for i, x in enumerate(ordered))
     # 2 * (w / d) has the bits of 2 * w / d, but 2 * w cannot overflow
     return max(0.0, 2.0 * (weighted / (n * total)) - (n + 1) / n)
 
@@ -132,7 +135,7 @@ def herfindahl_normalized(v: ValueVector) -> float:
     n = len(v.values)
     if n < 2:
         raise DegeneratePopulationError("normalized Herfindahl needs n >= 2")
-    total = math.fsum(v.values)
+    total = math.fsum(v.values) if n < LONG else kept_sum(v)
     if total == 0.0:
         raise ZeroSumError("Herfindahl undefined for an all-zero vector")
     hh = math.fsum((x / total) ** 2 for x in v.values)
@@ -145,14 +148,15 @@ def hoover(v: ValueVector) -> float:
 
     Equals the share of the total that would have to move to reach equality.
     """
-    total = math.fsum(v.values)
+    n = len(v.values)
+    total = math.fsum(v.values) if n < LONG else kept_sum(v)
     if total == 0.0:
         raise ZeroSumError("Hoover undefined for an all-zero vector")
-    m = total / len(v.values)
+    m = total / n
     return 0.5 * math.fsum(abs(x - m) for x in v.values) / total
 
 
-def _cumulative_share(ordered: list[float], total: float, fraction: float) -> float:
+def _cumulative_share(ordered: Sequence[float], total: float, fraction: float) -> float:
     # Share of the total held by the poorest `fraction` of the population,
     # linearly interpolating the Lorenz polyline between rank points.
     pos = fraction * len(ordered)
@@ -163,10 +167,11 @@ def _cumulative_share(ordered: list[float], total: float, fraction: float) -> fl
 
 def palma_shares(v: ValueVector) -> tuple[float, float]:
     """(bottom-40% share, top-10% share) of the total, sorted ascending."""
-    total = math.fsum(v.values)
+    n = len(v.values)
+    total = math.fsum(v.values) if n < LONG else kept_sum(v)
     if total == 0.0:
         raise ZeroSumError("Palma shares undefined for an all-zero vector")
-    ordered = sorted(v.values)
+    ordered = sorted(v.values) if n < LONG else kept_order(v)
     bottom = _cumulative_share(ordered, total, 0.40)
     top = 1.0 - _cumulative_share(ordered, total, 0.90)
     return bottom, top

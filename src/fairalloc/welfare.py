@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .core import ValueVector, mean
+from .core import LONG, ValueVector, kept_sum, mean
 from .dispersion import _epsilon_text, gini, theil_t
 from .errors import NonFiniteScoreError, WeightMismatchError, ZeroElementError
 
@@ -63,7 +63,7 @@ def isoelastic(u: ValueVector, weights: Sequence[float] | None, rho: float) -> f
 
 def benthamite(u: ValueVector) -> float:
     """Utilitarian welfare: the plain sum of utilities."""
-    return math.fsum(u.values)
+    return math.fsum(u.values) if len(u.values) < LONG else kept_sum(u)
 
 
 def rawlsian(u: ValueVector) -> float:

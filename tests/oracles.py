@@ -102,16 +102,20 @@ def foster_argmax(total, retention) -> Decimal:
             u_a, u_b = a * t, b * (w - t)
             return (a - b) * (u_a + u_b) / w - a * b * (u_a / u_b).ln()
 
+        def x_ln_x(x):  # 0 ln 0 = 0: a peak at 0 or total holds every unit on one side
+            return x * x.ln() if x else x
+
         def ln_foster(t):
             u_a, u_b = a * t, b * (w - t)
             s = u_a / (u_a + u_b)
-            return (u_a + u_b).ln() - s * s.ln() - (1 - s) * (1 - s).ln()
+            return (u_a + u_b).ln() - x_ln_x(s) - x_ln_x(1 - s)
 
         ends = [Decimal(0), w]
         if (a - b) ** 2 >= 4 * a * b:
             k = a * b / (a - b) ** 2
-            x = (1 - (1 - 4 * k).sqrt()) / 2
-            ends[1:1] = [w * x, w * (1 - x)]
+            x = 2 * k / (1 + (1 - 4 * k).sqrt())  # (1 - sqrt(1 - 4k)) / 2, which cancels to 0 for tiny k
+            # a turning point within 50 digits of 0 or total bounds no stretch
+            ends[1:1] = [t for t in (w * x, w * (1 - x)) if 0 < t < w]
         rising = [True, *(g(t) > 0 for t in ends[1:-1]), False]
         peaks = []
         for i in range(len(ends) - 1):

@@ -435,6 +435,9 @@ class TestOptimizeFrontier:
     )
     @example(7.0, (0.95, 0.85))
     @example(1e-2, (1.0, 0.75))
+    # turning points within a subnormal of 0 or total; foster peaks at an end
+    @example(7.0, (5e-324, 1.0))
+    @example(7.0, (1.0, 5e-324))
     def test_foster_on_utilities_is_the_decimal_argmax(self, total, retention):
         agents = (Agent(id="a", input=1.0), Agent(id="b", input=1.0))
         problem = ContinuousProblem(agents=agents, total=total, retention=dict(zip("ab", retention)))

@@ -11,11 +11,14 @@ from fairalloc import (
     NonFiniteScoreError,
     ValueVector,
     ZeroInputError,
+    gini,
     mean,
+    palma_shares,
     rawlsian,
     ratio_vector,
     threshold_share,
 )
+from fairalloc.core import LONG, kept_order
 
 
 # Values at and just past each edge of the domain [0, max float]
@@ -82,6 +85,20 @@ class TestValueVector:
         with pytest.raises(AttributeError):
             del v.values
         assert v.values == (1.0, 2.0)
+
+        # A long vector's kept sum and order are private and sit outside its value.
+        values = [float(i % 7) for i in range(LONG)]
+        v, fresh = ValueVector(values), ValueVector(values)
+        gini(v)
+        order = kept_order(v)
+        palma_shares(v)
+        assert kept_order(v) is order and order == tuple(sorted(values))
+        assert v == fresh and hash(v) == hash(fresh)
+        with pytest.raises(AttributeError):
+            v._kept = {}
+        with pytest.raises(AttributeError):
+            del v._kept
+        assert kept_order(v) is order
 
 
 class TestAgent:

@@ -16,6 +16,7 @@ from fairalloc import (
     ZeroMeanError,
     ZeroSumError,
     atkinson,
+    benthamite,
     dispersion,
     foster,
     gini,
@@ -29,6 +30,7 @@ from fairalloc import (
     theil_l,
     theil_t,
 )
+from fairalloc.core import LONG, kept_order, kept_sum
 from fairalloc.dispersion import METRIC_KINDS, _power_mean
 
 INF = math.inf
@@ -115,6 +117,42 @@ def test_wide_range_returns_a_float_or_a_domain_error(values):
         except DomainError:
             continue
         assert isinstance(result, float), name
+
+
+def _outcome(fn, v):
+    try:
+        return fn(v).hex()
+    except (DomainError, OverflowError) as err:  # benthamite's sum may overflow
+        return type(err).__name__, str(err)
+
+
+KEPT_VALUE_READERS = {**WIDE_RANGE_FUNCTIONS, "mean": mean, "benthamite": benthamite}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 2 * LONG).flatmap(lambda n: st.lists(
+    st.sampled_from([0.0, 5e-324, 1.0, MAX_FLOAT])
+    | st.floats(5e-324, sys.float_info.min, exclude_max=True)  # subnormal
+    | st.floats(1e-300, 1e308)
+    | st.floats(1e308, MAX_FLOAT),  # two of these sum past the float range
+    min_size=n,
+    max_size=n,
+)))
+@example([1e-3] * LONG)
+@example([MAX_FLOAT] * (LONG - 1) + [0.0])
+@example([0.0] * (LONG + 1))
+def test_kept_sum_and_order_change_no_bit(values):
+    # A vector of LONG or more elements keeps its sum and order after their
+    # first use; every function then gives what it gives on a fresh vector.
+    for name, fn in KEPT_VALUE_READERS.items():
+        warmed = ValueVector(values)
+        for other_name, other in KEPT_VALUE_READERS.items():
+            if other_name != name:
+                _outcome(other, warmed)
+        assert _outcome(fn, warmed) == _outcome(fn, ValueVector(values)), name
+    # what is kept is the exact sum and the ascending order
+    assert _outcome(kept_sum, warmed) == _outcome(lambda v: math.fsum(values), warmed)
+    assert kept_order(warmed) == tuple(sorted(values))
 
 
 class TestGini:
