@@ -219,16 +219,18 @@ def optimize_frontier(
     """Best frontier split for one principle, from its breakpoints.
 
     The frontier of a two-agent problem is one-dimensional: shares are
-    (t, total - t). The breakpoints are 0, total, the points where the
-    agents' outputs or utilities (each as is or over the agent's input) are
-    equal, and the splits where the spec's own score can turn
-    (``frontier_breakpoints``). No score peaks strictly between
-    neighbouring breakpoints, so nothing is searched. The breakpoints are
-    scored once each in ascending t, and a point replaces the best only if
-    it scores strictly better, so ties go to the smaller t and a plateau
-    reports its left end. An input-based principle has one score on the
-    whole frontier: every breakpoint ties, so it proposes t = 0. The
-    returned value is the best point's score. ``resolution`` has no effect.
+    (t, total - t). The breakpoints are 0, total and every split where the
+    spec's own score can turn, which its scoring row declares
+    (``frontier_breakpoints``): a point of equal value on its basis, as is
+    or over the inputs, a threshold crossing or a closed-form peak. No
+    score peaks strictly between neighbouring breakpoints, so nothing is
+    searched, and a score linear on the frontier is scored at the ends
+    alone. The breakpoints are scored once each in ascending t, and a point
+    replaces the best only if it scores strictly better, so ties go to the
+    smaller t and a plateau reports its left end. An input-based principle
+    has one score on the whole frontier: 0 and total tie, so it proposes
+    t = 0. The returned value is the best point's score. ``resolution`` has
+    no effect.
     """
     total = problem.total
     sign = -1.0 if principle_direction(spec) == MINIMIZE else 1.0
@@ -237,19 +239,9 @@ def optimize_frontier(
         ctx = _share_context(problem, ValueVector((t, total - t)))
         return sign * score(spec, ctx).value
 
-    retention = problem.retention_factors()
-    factors = retention if spec.resolved_basis() == BASIS_UTILITY else (1.0, 1.0)
-    points = {0.0, total, *frontier_breakpoints(spec, total, *factors)}
-    for a, b in ((1.0, 1.0), retention):
-        for p, q in ((1.0, 1.0), problem.inputs.values):
-            # a*t/p == b*(total - t)/q, in the form that is exact on round
-            # inputs; where that overflows, divide first
-            if (den := a * q + b * p) > 0.0:
-                t = total * b * p / den
-                if math.isinf(den) or not math.isfinite(t):
-                    t = total * (0.5 * b * p / (0.5 * a * q + 0.5 * b * p))
-                points.add(t)
-    points = sorted(t for t in points if 0.0 <= t <= total)
+    factors = problem.retention_factors() if spec.resolved_basis() == BASIS_UTILITY else (1.0, 1.0)
+    turns = frontier_breakpoints(spec, total, *factors, *problem.inputs.values)
+    points = sorted(t for t in {0.0, total, *turns} if 0.0 <= t <= total)
 
     values = [objective(t) for t in points]
     best_val = max(values)

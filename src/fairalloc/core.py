@@ -48,6 +48,11 @@ class ValueVector:
     def __delattr__(self, name):
         raise AttributeError("ValueVector is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which checks the values
+        # again and keeps nothing from the original
+        return ValueVector, (self.values,)
+
     def __len__(self) -> int:
         return len(self.values)
 

@@ -95,14 +95,18 @@ def direction(spec: PrincipleSpec) -> str:
     return _SCORING[spec.principle, spec.mode].direction
 
 
-def frontier_breakpoints(spec: PrincipleSpec, total: float, a: float, b: float) -> list[float]:
-    """Splits t of a two-agent frontier (t, total - t) where the score can turn.
+def frontier_breakpoints(
+    spec: PrincipleSpec, total: float, a: float, b: float, p: float, q: float
+) -> list[float]:
+    """Every split t of a two-agent frontier (t, total - t) where the score can turn.
 
     a and b multiply the agents' shares on the spec's basis: the retention
-    factors on utilities, 1 otherwise. With the ends and the points of equal
-    value added, the score is monotone between neighbouring breakpoints.
+    factors on utilities, 1 otherwise; p and q are the agents' inputs. With
+    the ends added, the score is monotone between neighbouring breakpoints,
+    so a row that declares none (a linear or constant score) turns only at
+    the ends.
     """
-    return _SCORING[spec.principle, spec.mode].breakpoints(spec, total, a, b)
+    return _SCORING[spec.principle, spec.mode].breakpoints(spec, total, a, b, p, q)
 
 
 def score(spec: PrincipleSpec, ctx: AllocationContext) -> PrincipleScore:
@@ -193,6 +197,42 @@ def _edge(holds: Callable[[float], bool], inside: float, outside: float) -> floa
     return inside
 
 
+def _edge_from(
+    holds: Callable[[float], bool], guess: float, inside: float, outside: float, step: float
+) -> float:
+    """``_edge(holds, inside, outside)``, bracketed first from a guess near the edge.
+
+    From ``guess`` the step doubles toward ``outside`` while ``holds`` holds,
+    or toward ``inside`` while it fails, until a point on the other side of
+    the edge brackets it; a guess k steps off then costs about 2 log2 k
+    calls. ``holds`` is taken to hold at ``inside`` and fail at
+    ``outside``; it is called there only where the guess is one of them.
+    """
+    hold = holds(guess)
+    end = outside if hold else inside
+    t = guess
+    while t != end:
+        t = min(end, t + step) if t < end else max(end, t - step)
+        if t == end or holds(t) != hold:
+            break
+        guess, step = t, 2.0 * step
+    return _edge(holds, guess, t) if hold else _edge(holds, t, guess)
+
+
+def _equal_value(total: float, a: float, b: float, p: float = 1.0, q: float = 1.0) -> list[float]:
+    """The split t where a t / p == b (total - t) / q, or none where no t is.
+
+    In the form that is exact on round inputs; where that overflows, the
+    quotient is divided first.
+    """
+    if (den := a * q + b * p) <= 0.0:
+        return []
+    t = total * b * p / den
+    if math.isinf(den) or not math.isfinite(t):
+        t = total * (0.5 * b * p / (0.5 * a * q + 0.5 * b * p))
+    return [t]
+
+
 def _threshold_crossings(total: float, threshold: float, a: float, b: float) -> list[float]:
     """Where each agent's value on the frontier (t, total - t) crosses the threshold.
 
@@ -200,28 +240,38 @@ def _threshold_crossings(total: float, threshold: float, a: float, b: float) -> 
     threshold, so a plateau of sufficiency keeps its left end; agent b is
     sufficient up to t_b, the greatest float t with b * (total - t) >=
     threshold. An agent sufficient everywhere or nowhere on [0, total] has
-    no crossing.
+    no crossing. Each is searched from its closed form, threshold / a or
+    total - threshold / b, which rounding leaves near the edge.
     """
     crossings = []
     if 0.0 < threshold <= a * total:
-        crossings.append(_edge(lambda t: a * t >= threshold, total, 0.0))
+        t = min(total, threshold / a)
+        crossings.append(_edge_from(lambda t: a * t >= threshold, t, total, 0.0, math.ulp(t)))
     if 0.0 < threshold <= b * total:
-        crossings.append(_edge(lambda t: b * (total - t) >= threshold, 0.0, total))
+        # steps on the grid of total - t, which may be coarser than t's
+        t = max(0.0, total - threshold / b)
+        step = math.ulp(max(t, total - t))
+        crossings.append(_edge_from(lambda t: b * (total - t) >= threshold, t, 0.0, total, step))
     return crossings
 
 
-def _isoelastic_max(spec: PrincipleSpec, total: float, a: float, b: float) -> list[float]:
-    # isoelastic welfare with 0 < rho < inf is concave on the frontier, with its maximum
-    # at t = total / (1 + q), q = (w_b b^(1-rho) / (w_a a^(1-rho)))^(1/rho)
+def _isoelastic_max(
+    spec: PrincipleSpec, total: float, a: float, b: float, p: float, q: float
+) -> list[float]:
+    # linear where rho is unset or 0; at rho = inf the Rawlsian minimum, which
+    # peaks at equal value; with 0 < rho < inf concave on the frontier, with
+    # its maximum at t = total / (1 + r), r = (w_b b^(1-rho) / (w_a a^(1-rho)))^(1/rho)
+    if spec.rho == math.inf:
+        return _equal_value(total, a, b)
     weights = spec.weights or (1.0, 1.0)
-    if spec.rho is None or not 0.0 < spec.rho < math.inf or len(weights) != 2:
+    if spec.rho is None or spec.rho == 0.0 or len(weights) != 2:
         return []
     e = 1.0 - spec.rho
     try:
-        q = (weights[1] * b**e / (weights[0] * a**e)) ** (1.0 / spec.rho)
+        r = (weights[1] * b**e / (weights[0] * a**e)) ** (1.0 / spec.rho)
     except (OverflowError, ZeroDivisionError):
-        return []  # q is past the float range
-    return [total / (1.0 + q)]
+        return []  # r is past the float range
+    return [total / (1.0 + r)]
 
 
 def _log_ratio(p: float, q: float) -> float:
@@ -233,11 +283,11 @@ def _log_ratio(p: float, q: float) -> float:
 def _foster_peaks(total: float, a: float, b: float) -> list[float]:
     """Floats around each local maximum of foster on the utilities (a t, b (total - t)).
 
-    foster = mean * exp(-Theil T): where a != b the mean moves along the
-    frontier while exp(-T) is unimodal, so their product can peak between
-    the other breakpoints; with a == b (always so on outputs) the mean is
-    constant and the only peak is total / 2, the point of equal value.
-    With U = a t + b (total - t), d ln foster / dt has the sign of g(t) =
+    foster = mean * exp(-Theil T): with a == b (always so on outputs) the
+    mean is constant and the only peak is the point of equal value, which
+    is returned alone; where a != b the mean moves along the frontier
+    while exp(-T) is unimodal, so their product peaks elsewhere. With U =
+    a t + b (total - t), d ln foster / dt has the sign of g(t) =
     (a - b) U / total - a b ln(a t / (b (total - t))). g falls from +inf at
     0 to -inf at total and turns only where (t / total)(1 - t / total) =
     a b / (a - b)^2, so it has at most three monotone stretches. For each
@@ -247,7 +297,7 @@ def _foster_peaks(total: float, a: float, b: float) -> list[float]:
     arithmetic moves it to the exact float.
     """
     if a == b:
-        return []
+        return _equal_value(total, a, b)
     # g's sign is unchanged by scaling a and b alike; scaled to a max of 1,
     # the product a b cannot underflow to 0
     m = max(a, b)
@@ -282,12 +332,7 @@ def _foster_peaks(total: float, a: float, b: float) -> list[float]:
         if not up or down:
             continue
         t = _edge(rises, lo, hi)
-        inside, outside, step = t, math.nextafter(t, hi), math.ulp(t)
-        while inside > lo and not rises_exactly(inside):
-            inside, step = max(lo, inside - step), 2.0 * step
-        while outside < hi and rises_exactly(outside):
-            outside, step = min(hi, outside + step), 2.0 * step
-        t = _edge(rises_exactly, inside, outside)
+        t = _edge_from(rises_exactly, t, lo, hi, math.ulp(t))
         peaks += [t, math.nextafter(t, hi)]
     return peaks
 
@@ -304,17 +349,33 @@ class _Scoring(NamedTuple):
     metric: bool = False
     threshold: bool = False
     welfare: bool = False
-    # (spec, total w, a, b) -> where the score can turn on the frontier; see frontier_breakpoints.
-    breakpoints: Callable[..., list[float]] = lambda spec, w, a, b: []
+    # (spec, total w, basis factors a and b, inputs p and q) -> every split
+    # where the score can turn on the frontier; see frontier_breakpoints.
+    # The default suits a score linear or constant on the frontier.
+    breakpoints: Callable[..., list[float]] = lambda spec, w, a, b, p, q: []
 
 
-_DIFFERENCE = _Scoring(MAXIMIZE, _difference, variants=("rawlsian", "harsanyian"))
+def _equal_ratio(
+    spec: PrincipleSpec, w: float, a: float, b: float, p: float, q: float
+) -> list[float]:
+    # where the dispersion of the basis vector over the inputs is least
+    return [] if spec.variant == "noop" else _equal_value(w, a, b, p, q)
+
+
+_DIFFERENCE = _Scoring(
+    MAXIMIZE,
+    _difference,
+    variants=("rawlsian", "harsanyian"),
+    breakpoints=lambda spec, w, a, b, p, q: (
+        [] if spec.variant == "harsanyian" else _equal_value(w, a, b)
+    ),
+)
 _GREATER_GOOD = _Scoring(MAXIMIZE, _utility_welfare, BASIS_UTILITY)
 _SUFFICIENCY = _Scoring(
     MAXIMIZE,
     _sufficiency,
     threshold=True,
-    breakpoints=lambda spec, w, a, b: _threshold_crossings(w, spec.threshold, a, b),
+    breakpoints=lambda spec, w, a, b, p, q: _threshold_crossings(w, spec.threshold, a, b),
 )
 
 # The one mapping of (principle, mode) to a score and the spec parameters it
@@ -325,12 +386,20 @@ _SUFFICIENCY = _Scoring(
 _SCORING = {
     ("difference", DIANEMETIC): _DIFFERENCE,
     ("difference", DIORTHOTIC): _DIFFERENCE,
-    ("equality", DIANEMETIC): _Scoring(MINIMIZE, _dispersion, metric=True),
+    ("equality", DIANEMETIC): _Scoring(
+        MINIMIZE,
+        _dispersion,
+        metric=True,
+        breakpoints=lambda spec, w, a, b, p, q: _equal_value(w, a, b),
+    ),
     ("equality", DIORTHOTIC): _Scoring(
         MAXIMIZE,
         _capability_welfare,
         variants=("foster", "sen"),
-        breakpoints=lambda spec, w, a, b: [] if spec.variant == "sen" else _foster_peaks(w, a, b),
+        # sen is piecewise linear, with its kink at equal value
+        breakpoints=lambda spec, w, a, b, p, q: (
+            _equal_value(w, a, b) if spec.variant == "sen" else _foster_peaks(w, a, b)
+        ),
     ),
     ("equality_of_opportunity", DIANEMETIC): _Scoring(
         MINIMIZE, _dispersion, BASIS_INPUT, metric=True
@@ -340,9 +409,15 @@ _SCORING = {
     ),
     ("greater_good", DIANEMETIC): _GREATER_GOOD,
     ("greater_good", DIORTHOTIC): _GREATER_GOOD._replace(welfare=True, breakpoints=_isoelastic_max),
-    ("proportion", DIANEMETIC): _Scoring(MINIMIZE, _proportion, metric=True),
+    ("proportion", DIANEMETIC): _Scoring(
+        MINIMIZE, _proportion, metric=True, breakpoints=_equal_ratio
+    ),
     ("proportion", DIORTHOTIC): _Scoring(
-        MAXIMIZE, _proportion_welfare, variants=("dispersion", "noop"), metric=True
+        MAXIMIZE,
+        _proportion_welfare,
+        variants=("dispersion", "noop"),
+        metric=True,
+        breakpoints=_equal_ratio,
     ),
     ("sufficiency", DIANEMETIC): _SUFFICIENCY,
     ("sufficiency", DIORTHOTIC): _SUFFICIENCY,

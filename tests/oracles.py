@@ -38,11 +38,11 @@ def optimize_frontier_full_search(problem, spec):
     """A frontier optimum found by searching every piece, with no evaluation skipped.
 
     Every spec, an input-based one too, scores the breakpoints and runs all
-    100 ternary steps on every piece between them. The breakpoints are
-    ``optimize_frontier``'s without the isoelastic split, and with each
-    threshold crossing as the quotient rounds. ``optimize_frontier``
-    must raise what it raises, or not trail its value by more than
-    rounding. Scores go through
+    100 ternary steps on every piece between them. The breakpoints are the
+    ends, the four points where the agents' outputs or utilities, each as
+    is or over the agent's input, are equal, and each threshold crossing as
+    the quotient rounds. ``optimize_frontier`` must raise what it raises,
+    or not trail its value by more than rounding. Scores go through
     ``principles.score``, looked up at each call, so a test can count them.
     """
     total = problem.total

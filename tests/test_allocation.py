@@ -438,16 +438,19 @@ class TestOptimizeFrontier:
     # turning points within a subnormal of 0 or total; foster peaks at an end
     @example(7.0, (5e-324, 1.0))
     @example(7.0, (1.0, 5e-324))
+    # near-equal retention, where the point of equal value lies within about
+    # sqrt(eps) of the peak and must not be scored
+    @example(1e-2, (0.5349, 0.5322))
+    @example(7.0, (0.6029, 0.6))
+    @example(1.0, (0.6842, 0.6848))
     def test_foster_on_utilities_is_the_decimal_argmax(self, total, retention):
         agents = (Agent(id="a", input=1.0), Agent(id="b", input=1.0))
         problem = ContinuousProblem(agents=agents, total=total, retention=dict(zip("ab", retention)))
         spec = PrincipleSpec("equality", mode=DIORTHOTIC, basis="utility")
         ref = float(oracles.foster_argmax(total, retention))
         assert ref in _foster_peaks(total, *retention) or retention[0] == retention[1]
-        shares, value = optimize_frontier(problem, spec)
-        at_ref = score(spec, _share_context(problem, ValueVector((ref, total - ref)))).value
-        # the nearest float to the peak, or a breakpoint that scores no worse
-        assert abs(shares[0] - ref) <= 2 * math.ulp(ref) or value >= at_ref
+        shares, _ = optimize_frontier(problem, spec)
+        assert abs(shares[0] - ref) <= math.ulp(ref)
 
     def test_one_score_per_breakpoint(self, monkeypatch):
         calls = _count_scores(monkeypatch)
@@ -455,23 +458,39 @@ class TestOptimizeFrontier:
         for spec in ACCEPTED_SHAPES:
             if spec.threshold is not None:
                 spec = dataclasses.replace(spec, threshold=2.0)
-            if spec.resolved_basis() == "input":
-                continue
             calls.clear()
             try:
                 optimize_frontier(problem, spec)
             except DomainError:
                 continue
-            # 0, 7, four equal-value crossings, and the row's own breakpoints:
-            # two threshold crossings on the spec's basis, the isoelastic
-            # split or two floats around foster's peak; each scored once in
-            # ascending t
+            # 0, 7 and the row's own breakpoints, each scored once in ascending t
+            factors = (0.95, 0.85) if spec.resolved_basis() == "utility" else (1.0, 1.0)
+            declared = principles.frontier_breakpoints(spec, 7.0, *factors, 8.0, 12.0)
             ts = [t for _, t in calls]
-            assert ts == sorted(set(ts)) and 6 <= len(ts) <= 8, spec
-        calls.clear()
-        optimize_frontier(problem, PrincipleSpec("difference"))
-        ts = [t for _, t in calls]
-        assert ts == pytest.approx([0.0, 7 * 0.85 * 8 / 18.2, 2.8, 7 * 0.85 / 1.8, 3.5, 7.0])
+            assert ts == sorted({0.0, 7.0, *declared}) and len(ts) <= 4, spec
+        equal_utilities, peak = 7 * 0.85 / (0.95 + 0.85), 3.5004028253210286
+        for spec, expected in [
+            # equal outputs, or equal utilities 0.95 t = 0.85 (7 - t)
+            (PrincipleSpec("difference"), [0.0, 3.5, 7.0]),
+            (PrincipleSpec("equality", basis="utility", metric=STD), [0.0, equal_utilities, 7.0]),
+            (PrincipleSpec("equality", mode=DIORTHOTIC, variant="sen"), [0.0, 3.5, 7.0]),
+            (PrincipleSpec("greater_good", mode=DIORTHOTIC, rho=math.inf), [0.0, equal_utilities, 7.0]),
+            # equal outputs over inputs 8 and 12
+            (PrincipleSpec("proportion", metric=STD), [0.0, 2.8, 7.0]),
+            # each agent's edge of sufficiency
+            (PrincipleSpec("sufficiency", threshold=2.0), [0.0, 2.0, 5.0, 7.0]),
+            # the two floats around foster's peak on unequal utilities
+            (PrincipleSpec("equality", mode=DIORTHOTIC, basis="utility"),
+             [0.0, math.nextafter(peak, 0.0), peak, 7.0]),
+            # linear or constant on the frontier: the ends alone
+            (PrincipleSpec("difference", variant="harsanyian", basis="utility"), [0.0, 7.0]),
+            (PrincipleSpec("greater_good"), [0.0, 7.0]),
+            (PrincipleSpec("proportion", mode=DIORTHOTIC, variant="noop"), [0.0, 7.0]),
+            (PrincipleSpec("equality_of_opportunity", metric=STD), [0.0, 7.0]),
+        ]:
+            calls.clear()
+            optimize_frontier(problem, spec)
+            assert [t for _, t in calls] == expected, spec
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -677,7 +696,7 @@ class TestHeatmap:
         agents = (Agent(id="a", input=inputs[0]), Agent(id="b", input=inputs[1]))
         problem = ContinuousProblem(agents=agents, total=total, retention=dict(zip("ab", retention)))
         if spec.threshold is not None:
-            spec = dataclasses.replace(spec, threshold=threshold_share * total)
+            spec = dataclasses.replace(spec, threshold=min(threshold_share * total, MAX_FLOAT))
         if weight is not None and spec.rho is not None:
             spec = dataclasses.replace(spec, weights=(weight, weight))
         # where i * total is past the float range, i / grid * total
@@ -859,11 +878,13 @@ class TestContinuousRanking:
         assert isinstance(err.value.cause, NonFiniteScoreError)
 
     def test_optima_that_share_nine_digits_are_two_candidates(self):
+        # foster on equal utilities proposes 14.17 * 0.6 / 1.2, one float
+        # below the equal outputs 14.17 / 2
         agents = (Agent(id="A", input=1.58), Agent(id="B", input=12.7))
         problem = ContinuousProblem(agents=agents, total=14.17, retention={"A": 0.6, "B": 0.6})
         specs = [
             PrincipleSpec("difference", mode=DIORTHOTIC, basis="output"),
-            PrincipleSpec("equality", mode=DIORTHOTIC, basis="output"),
+            PrincipleSpec("equality", mode=DIORTHOTIC, basis="utility"),
         ]
         table = continuous_ranking(problem, ["difference", "equality"], specs, [1.0, 1.0])
         assert table.candidates == ("t=7.084999999999999", "t=7.085")

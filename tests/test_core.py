@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -99,6 +101,19 @@ class TestValueVector:
         with pytest.raises(AttributeError):
             del v._kept
         assert kept_order(v) is order
+
+    def test_copies_and_pickles_to_an_equal_vector(self):
+        short = ValueVector([-0.0, 5e-324, 1.7976931348623157e308])
+        long = ValueVector(float(i % 7) for i in range(LONG))
+        order = kept_order(long)
+        for v in (short, long):
+            for copied in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+                assert type(copied) is ValueVector and copied == v
+                assert [x.hex() for x in copied.values] == [x.hex() for x in v.values]
+        assert kept_order(copy.deepcopy(long)) == order
+        ctx = AllocationContext(inputs=short, outputs=short, utilities=short)
+        assert copy.deepcopy(ctx) == ctx
+        assert pickle.loads(pickle.dumps(ctx)) == ctx
 
 
 class TestAgent:
