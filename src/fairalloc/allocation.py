@@ -59,6 +59,10 @@ class Piece:
             if not math.isfinite(b) or b < 0.0:
                 raise ValueError(f"piece bonus for {agent_id!r} must be finite and >= 0")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__ (a mappingproxy does not pickle)
+        return Piece, (self.amount, dict(self.bonus))
+
 
 @dataclass(frozen=True)
 class DiscreteProblem:
@@ -111,6 +115,11 @@ class DiscreteProblem:
         object.__setattr__(self, "_gains", gains)
         object.__setattr__(self, "inputs", ValueVector(a.input for a in self.agents))
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which checks the problem
+        # and derives inputs and gains again
+        return DiscreteProblem, (self.agents, self.pieces)
+
 
 @dataclass(frozen=True)
 class DiscreteAllocation:
@@ -154,6 +163,10 @@ class ContinuousProblem:
             raise ValueError(f"retention for unknown agents {sorted(unknown)}")
         object.__setattr__(self, "inputs", ValueVector(a.input for a in self.agents))
         object.__setattr__(self, "_factors", tuple(self.retention[a.id] for a in self.agents))
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__ (a mappingproxy does not pickle)
+        return ContinuousProblem, (self.agents, self.total, dict(self.retention))
 
     def retention_factors(self) -> tuple[float, ...]:
         return self._factors

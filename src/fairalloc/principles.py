@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import AllocationContext, ValueVector, mean, ratio_vector, threshold_share
@@ -32,7 +32,11 @@ BASIS_UTILITY = "utility"
 
 @dataclass(frozen=True)
 class PrincipleSpec:
-    """One guiding principle plus the parameters its ``_SCORING`` row reads."""
+    """One guiding principle plus the parameters its ``_SCORING`` row reads.
+
+    A spec is resolved when built to the one form that its principle, mode
+    and variant select, on its own basis; every scoring function reads it.
+    """
 
     principle: str
     mode: str = DIANEMETIC
@@ -42,6 +46,7 @@ class PrincipleSpec:
     threshold: float | None = None
     rho: float | None = None
     weights: tuple[float, ...] | None = None
+    _form: _Form = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         p = self.principle
@@ -51,7 +56,8 @@ class PrincipleSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         row = _SCORING[p, self.mode]
         other = _SCORING[p, DIORTHOTIC if self.mode == DIANEMETIC else DIANEMETIC]
-        if self.basis is not None and row.basis == BASIS_INPUT:
+        default = next(iter(row.forms.values()))
+        if self.basis is not None and default.basis == BASIS_INPUT:
             raise ValueError(f"{p} is always input-based")
         if self.basis not in (None, BASIS_OUTPUT, BASIS_UTILITY):
             raise ValueError(f"unknown basis {self.basis!r}")
@@ -59,7 +65,8 @@ class PrincipleSpec:
             raise ValueError("threshold is required for sufficiency and only there")
         if self.threshold is not None and not math.isfinite(self.threshold):
             raise ValueError("threshold must be finite")
-        if (self.rho is not None or self.weights is not None) and not row.welfare:
+        welfare = self.rho is not None or self.weights is not None
+        if welfare and not row.welfare:
             raise ValueError("rho/weights apply to the diorthotic greater-good principle only")
         if self.rho is not None and (math.isnan(self.rho) or self.rho < 0.0):
             raise ValueError("rho must be >= 0")
@@ -68,19 +75,25 @@ class PrincipleSpec:
         ):
             raise ValueError("weights must be finite and > 0")
         # Variant and metric are checked last, naming the mode when the other mode reads them.
-        if self.variant is not None and self.variant not in row.variants:
-            where = f" in {self.mode} mode" if self.variant in other.variants else ""
+        if self.variant is not None and self.variant not in row.forms:
+            where = f" in {self.mode} mode" if self.variant in other.forms else ""
             raise ValueError(f"principle {p!r} has no variant {self.variant!r}{where}")
         if self.metric is not None and not row.metric:
             where = f" in {self.mode} mode" if other.metric else ""
             raise ValueError(f"principle {p!r} takes no dispersion metric{where}")
+        form = _ISOELASTIC if welfare else row.forms.get(self.variant, default)
+        object.__setattr__(self, "_form", form._replace(basis=self.basis or form.basis))
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which checks and resolves again
+        return PrincipleSpec, tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
     def resolved_metric(self) -> DispersionMetric:
         return self.metric or STD_DEV
 
     def resolved_basis(self) -> str:
         """The basis vector scored: BASIS_OUTPUT, BASIS_UTILITY or BASIS_INPUT."""
-        return self.basis or _SCORING[self.principle, self.mode].basis
+        return self._form.basis
 
 
 @dataclass(frozen=True)
@@ -92,7 +105,7 @@ class PrincipleScore:
 
 def direction(spec: PrincipleSpec) -> str:
     """Optimization direction: dianemetic dispersion principles minimize."""
-    return _SCORING[spec.principle, spec.mode].direction
+    return spec._form.direction
 
 
 def frontier_breakpoints(
@@ -103,10 +116,10 @@ def frontier_breakpoints(
     a and b multiply the agents' shares on the spec's basis: the retention
     factors on utilities, 1 otherwise; p and q are the agents' inputs. With
     the ends added, the score is monotone between neighbouring breakpoints,
-    so a row that declares none (a linear or constant score) turns only at
+    so a form that declares none (a linear or constant score) turns only at
     the ends.
     """
-    return _SCORING[spec.principle, spec.mode].breakpoints(spec, total, a, b, p, q)
+    return spec._form.breakpoints(spec, total, a, b, p, q)
 
 
 def score(spec: PrincipleSpec, ctx: AllocationContext) -> PrincipleScore:
@@ -114,11 +127,11 @@ def score(spec: PrincipleSpec, ctx: AllocationContext) -> PrincipleScore:
 
     An arithmetic overflow or a NaN or infinite value raises NonFiniteScoreError.
     """
-    scoring = _SCORING[spec.principle, spec.mode]
-    b = spec.basis or scoring.basis
+    form = spec._form
+    b = form.basis
     v = ctx.outputs if b == BASIS_OUTPUT else ctx.utilities if b == BASIS_UTILITY else ctx.inputs
     try:
-        value = scoring.value(spec, v, ctx.inputs)
+        value = form.value(spec, v, ctx.inputs)
     except OverflowError:
         raise NonFiniteScoreError("arithmetic overflow") from None
     if not math.isfinite(value):
@@ -134,7 +147,7 @@ def score_column(
     Yields what ``score`` would return as the value for each vector, or None
     where ``score`` would raise a domain error.
     """
-    value_of = _SCORING[spec.principle, spec.mode].value
+    value_of = spec._form.value
     for v in vectors:
         try:
             value = value_of(spec, v, inputs)
@@ -158,29 +171,11 @@ def _proportion(spec: PrincipleSpec, v: ValueVector, x: ValueVector) -> float:
     return dispersion(spec.resolved_metric(), ratio_vector(v, x))
 
 
-def _difference(spec: PrincipleSpec, v: ValueVector, x: ValueVector) -> float:
-    return mean(v) if spec.variant == "harsanyian" else rawlsian(v)
-
-
-def _capability_welfare(spec: PrincipleSpec, v: ValueVector, x: ValueVector) -> float:
-    return sen(v) if spec.variant == "sen" else foster(v)
-
-
-def _utility_welfare(spec: PrincipleSpec, v: ValueVector, x: ValueVector) -> float:
-    if spec.rho is None and spec.weights is None:
-        return benthamite(v)
-    return isoelastic(v, spec.weights, 0.0 if spec.rho is None else spec.rho)
-
-
-def _proportion_welfare(spec: PrincipleSpec, v: ValueVector, x: ValueVector) -> float:
-    if spec.variant == "noop":
-        # Free-transaction stance: every allocation is equally fair.
-        return 0.0
-    return _negated(_proportion(spec, v, x))
-
-
-def _sufficiency(spec: PrincipleSpec, v: ValueVector, x: ValueVector) -> float:
-    return threshold_share(v, spec.threshold)
+def _at_equal_value(
+    spec: PrincipleSpec, w: float, a: float, b: float, p: float, q: float
+) -> list[float]:
+    # the one turn of a score whose extremum or kink is at equal value on the basis
+    return _equal_value(w, a, b)
 
 
 def _edge(holds: Callable[[float], bool], inside: float, outside: float) -> float:
@@ -337,88 +332,91 @@ def _foster_peaks(total: float, a: float, b: float) -> list[float]:
     return peaks
 
 
-class _Scoring(NamedTuple):
+class _Form(NamedTuple):
+    """The one score a spec resolves to, and where it can turn on a frontier."""
+
     direction: str
     # (spec, basis vector, inputs) -> score
     value: Callable[[PrincipleSpec, ValueVector, ValueVector], float]
     basis: str = BASIS_OUTPUT  # the default basis; BASIS_INPUT is fixed
-    # The variants read, default first, or (None,) for none; since an unset
-    # variant means the default, a value function tests for the others only.
-    variants: tuple[str | None, ...] = (None,)
-    # Whether the value reads a metric, a threshold, and rho and weights.
-    metric: bool = False
-    threshold: bool = False
-    welfare: bool = False
     # (spec, total w, basis factors a and b, inputs p and q) -> every split
     # where the score can turn on the frontier; see frontier_breakpoints.
     # The default suits a score linear or constant on the frontier.
     breakpoints: Callable[..., list[float]] = lambda spec, w, a, b, p, q: []
 
 
-def _equal_ratio(
-    spec: PrincipleSpec, w: float, a: float, b: float, p: float, q: float
-) -> list[float]:
-    # where the dispersion of the basis vector over the inputs is least
-    return [] if spec.variant == "noop" else _equal_value(w, a, b, p, q)
+class _Scoring(NamedTuple):
+    """A (principle, mode) row: a form per variant, and the parameters read."""
+
+    # Each variant's form, the default first; a row without variants keys
+    # its one form by None. All of a row's forms share its default basis.
+    forms: dict[str | None, _Form]
+    # Whether the forms read a metric, a threshold, and rho and weights.
+    metric: bool = False
+    threshold: bool = False
+    welfare: bool = False
 
 
-_DIFFERENCE = _Scoring(
+_DIFFERENCE = _Scoring({
+    "rawlsian": _Form(MAXIMIZE, lambda spec, v, x: rawlsian(v), breakpoints=_at_equal_value),
+    "harsanyian": _Form(MAXIMIZE, lambda spec, v, x: mean(v)),
+})
+_GREATER_GOOD = _Scoring({None: _Form(MAXIMIZE, lambda spec, v, x: benthamite(v), BASIS_UTILITY)})
+# What a diorthotic greater-good spec that sets rho or weights resolves to.
+_ISOELASTIC = _Form(
     MAXIMIZE,
-    _difference,
-    variants=("rawlsian", "harsanyian"),
-    breakpoints=lambda spec, w, a, b, p, q: (
-        [] if spec.variant == "harsanyian" else _equal_value(w, a, b)
-    ),
+    lambda spec, v, x: isoelastic(v, spec.weights, 0.0 if spec.rho is None else spec.rho),
+    BASIS_UTILITY,
+    _isoelastic_max,
 )
-_GREATER_GOOD = _Scoring(MAXIMIZE, _utility_welfare, BASIS_UTILITY)
-_SUFFICIENCY = _Scoring(
+# where the dispersion of the basis vector over the inputs is least
+_PROPORTION = _Form(
+    MINIMIZE, _proportion, breakpoints=lambda spec, w, a, b, p, q: _equal_value(w, a, b, p, q)
+)
+_SUFFICIENCY = _Scoring({None: _Form(
     MAXIMIZE,
-    _sufficiency,
-    threshold=True,
+    lambda spec, v, x: threshold_share(v, spec.threshold),
     breakpoints=lambda spec, w, a, b, p, q: _threshold_crossings(w, spec.threshold, a, b),
-)
+)}, threshold=True)
 
-# The one mapping of (principle, mode) to a score and the spec parameters it
-# reads; its keys name the principles. Entries reach the dispersion and
-# welfare functions through this module's globals at call time, never through
-# references captured here, so that patching a module attribute (as
-# instrumentation does) reaches every score.
+# The one mapping of (principle, mode) to its forms and the spec parameters
+# they read; its keys name the principles. PrincipleSpec.__post_init__ alone
+# reads it: each spec is resolved to its one form when it is built. Forms
+# reach the dispersion and welfare functions through this module's globals
+# at call time, never through references captured here, so that patching a
+# module attribute (as instrumentation does) reaches every score.
 _SCORING = {
     ("difference", DIANEMETIC): _DIFFERENCE,
     ("difference", DIORTHOTIC): _DIFFERENCE,
     ("equality", DIANEMETIC): _Scoring(
-        MINIMIZE,
-        _dispersion,
-        metric=True,
-        breakpoints=lambda spec, w, a, b, p, q: _equal_value(w, a, b),
+        {None: _Form(MINIMIZE, _dispersion, breakpoints=_at_equal_value)}, metric=True
     ),
-    ("equality", DIORTHOTIC): _Scoring(
-        MAXIMIZE,
-        _capability_welfare,
-        variants=("foster", "sen"),
-        # sen is piecewise linear, with its kink at equal value
-        breakpoints=lambda spec, w, a, b, p, q: (
-            _equal_value(w, a, b) if spec.variant == "sen" else _foster_peaks(w, a, b)
+    ("equality", DIORTHOTIC): _Scoring({
+        "foster": _Form(
+            MAXIMIZE,
+            lambda spec, v, x: foster(v),
+            breakpoints=lambda spec, w, a, b, p, q: _foster_peaks(w, a, b),
         ),
-    ),
+        # sen is piecewise linear, with its kink at equal value
+        "sen": _Form(MAXIMIZE, lambda spec, v, x: sen(v), breakpoints=_at_equal_value),
+    }),
     ("equality_of_opportunity", DIANEMETIC): _Scoring(
-        MINIMIZE, _dispersion, BASIS_INPUT, metric=True
+        {None: _Form(MINIMIZE, _dispersion, BASIS_INPUT)}, metric=True
     ),
     ("equality_of_opportunity", DIORTHOTIC): _Scoring(
-        MAXIMIZE, lambda spec, v, x: _negated(_dispersion(spec, v, x)), BASIS_INPUT, metric=True
+        {None: _Form(MAXIMIZE, lambda spec, v, x: _negated(_dispersion(spec, v, x)), BASIS_INPUT)},
+        metric=True,
     ),
     ("greater_good", DIANEMETIC): _GREATER_GOOD,
-    ("greater_good", DIORTHOTIC): _GREATER_GOOD._replace(welfare=True, breakpoints=_isoelastic_max),
-    ("proportion", DIANEMETIC): _Scoring(
-        MINIMIZE, _proportion, metric=True, breakpoints=_equal_ratio
-    ),
-    ("proportion", DIORTHOTIC): _Scoring(
-        MAXIMIZE,
-        _proportion_welfare,
-        variants=("dispersion", "noop"),
-        metric=True,
-        breakpoints=_equal_ratio,
-    ),
+    ("greater_good", DIORTHOTIC): _GREATER_GOOD._replace(welfare=True),
+    ("proportion", DIANEMETIC): _Scoring({None: _PROPORTION}, metric=True),
+    ("proportion", DIORTHOTIC): _Scoring({
+        "dispersion": _PROPORTION._replace(
+            direction=MAXIMIZE, value=lambda spec, v, x: _negated(_proportion(spec, v, x))
+        ),
+        # Free-transaction stance: every allocation is equally fair.
+        "noop": _Form(MAXIMIZE, lambda spec, v, x: 0.0),
+    }, metric=True),
     ("sufficiency", DIANEMETIC): _SUFFICIENCY,
     ("sufficiency", DIORTHOTIC): _SUFFICIENCY,
 }

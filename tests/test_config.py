@@ -1,10 +1,20 @@
+import copy
 import json
 import math
+import pickle
 import re
 
 import pytest
 
-from fairalloc import ConfigError, ContinuousProblem, DiscreteProblem, load_config, parse_config
+from fairalloc import (
+    ConfigError,
+    ContinuousProblem,
+    DiscreteProblem,
+    continuous_ranking,
+    discrete_ranking,
+    load_config,
+    parse_config,
+)
 from fairalloc.presets import get_preset, load_preset, preset_names
 
 
@@ -296,7 +306,23 @@ class TestErrorContract:
         assert spec.variant is None and spec.basis is None
 
 
+def _ranking(cfg):
+    args = (cfg.problem, cfg.principle_labels, cfg.specs, cfg.weights)
+    if cfg.kind == "discrete":
+        return discrete_ranking(*args, labels=cfg.candidate_labels)
+    return continuous_ranking(*args)
+
+
 class TestLoadConfig:
+    @pytest.mark.parametrize("name", ["cake", "fishermen"])
+    def test_preset_copies_and_pickles_to_an_equal_config(self, name):
+        # each value rebuilds through its constructor, so a process pool can receive it
+        cfg = load_preset(name)
+        table = _ranking(cfg)
+        for twin in (copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+            assert twin == cfg
+            assert _ranking(twin) == table
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(minimal_continuous()), encoding="utf-8")

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,7 +27,7 @@ from fairalloc import (
     score,
     std_dev,
 )
-from fairalloc.principles import _SCORING
+from fairalloc.principles import _SCORING, frontier_breakpoints
 
 STD = DispersionMetric("std_dev")
 
@@ -201,8 +203,20 @@ class TestScoringTable:
         assert result.value == expected
         assert direction(spec) == expected_direction
         default = _spec(principle, mode=mode, **kwargs)
-        if _SCORING[principle, mode].variants[0] == variant:  # the first variant is the default
+        if next(iter(_SCORING[principle, mode].forms)) == variant:  # the first is the default
             assert score(default, SCENARIO4_CTX).value == expected
+        # copies and pickles rebuild to an equal spec that resolves to the same form
+        for twin in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+            assert twin == spec and hash(twin) == hash(spec)
+            assert direction(twin) == direction(spec)
+            assert twin.resolved_basis() == spec.resolved_basis()
+            assert (frontier_breakpoints(twin, 7.0, 0.95, 0.85, 8.0, 12.0)
+                    == frontier_breakpoints(spec, 7.0, 0.95, 0.85, 8.0, 12.0))
+            assert score(twin, SCENARIO4_CTX).value == expected
+        # replace builds through the constructor, so the new spec resolves again
+        if (principle, variant) == ("difference", "rawlsian"):
+            harsanyian = dataclasses.replace(spec, variant="harsanyian")
+            assert score(harsanyian, SCENARIO4_CTX).value == 0.5
 
     @pytest.mark.parametrize(
         "rho,weights,expected",
