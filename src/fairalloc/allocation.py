@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .core import Agent, AllocationContext, ValueVector
+from .core import Agent, AllocationContext, ValueVector, rebuild_through_init
 from .errors import DomainError, NonFiniteScoreError, ScoringError
 from .principles import (
     BASIS_INPUT,
@@ -59,9 +59,7 @@ class Piece:
             if not math.isfinite(b) or b < 0.0:
                 raise ValueError(f"piece bonus for {agent_id!r} must be finite and >= 0")
 
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__ (a mappingproxy does not pickle)
-        return Piece, (self.amount, dict(self.bonus))
+    __reduce__ = rebuild_through_init
 
 
 @dataclass(frozen=True)
@@ -115,10 +113,7 @@ class DiscreteProblem:
         object.__setattr__(self, "_gains", gains)
         object.__setattr__(self, "inputs", ValueVector(a.input for a in self.agents))
 
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, which checks the problem
-        # and derives inputs and gains again
-        return DiscreteProblem, (self.agents, self.pieces)
+    __reduce__ = rebuild_through_init
 
 
 @dataclass(frozen=True)
@@ -164,9 +159,7 @@ class ContinuousProblem:
         object.__setattr__(self, "inputs", ValueVector(a.input for a in self.agents))
         object.__setattr__(self, "_factors", tuple(self.retention[a.id] for a in self.agents))
 
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__ (a mappingproxy does not pickle)
-        return ContinuousProblem, (self.agents, self.total, dict(self.retention))
+    __reduce__ = rebuild_through_init
 
     def retention_factors(self) -> tuple[float, ...]:
         return self._factors

@@ -11,26 +11,37 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 from typing import Iterable, Iterator
 
 from .errors import NonFiniteScoreError, ZeroInputError
 
 
+def rebuild_through_init(value) -> tuple:
+    """``__reduce__`` of an immutable value: copy and pickle call its constructor again.
+
+    Its ``init`` fields are passed, a mappingproxy (which does not pickle) as a
+    ``dict``, so every check runs again and every derived field is recomputed.
+    """
+    args = (getattr(value, f.name) for f in fields(value) if f.init)
+    return type(value), tuple(dict(a) if isinstance(a, MappingProxyType) else a for a in args)
+
+
+@dataclass(frozen=True, slots=True)
 class ValueVector:
     """Immutable vector of nonnegative, finite per-individual values.
 
     Nonnegativity is enforced at construction because every downstream
     statistic (dispersion metrics, welfare functions) is defined on
-    nonnegative values only. Assigning or deleting the values is refused.
-    A vector of at least ``LONG`` elements keeps its exact sum and its
-    ascending order after their first use (see :func:`kept_sum`); equality
-    and hashing read the values alone.
+    nonnegative values only. A frozen dataclass, as every value is; its
+    own constructor checks the values. A vector of at least ``LONG``
+    elements keeps its exact sum and ascending order after their first use
+    (see :func:`kept_sum`); equality, hashing and copies read the values alone.
     """
 
-    __slots__ = ("values", "_kept")
-
     values: tuple[float, ...]
+    _kept: dict = field(init=False, compare=False, repr=False)
 
     def __init__(self, values: Iterable[float]):
         vals = tuple(map(float, values))
@@ -42,16 +53,7 @@ class ValueVector:
                 raise ValueError(f"ValueVector element {v!r} is {fault}")
         _store_values(self, vals)
 
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("ValueVector is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("ValueVector is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, which checks the values
-        # again and keeps nothing from the original
-        return ValueVector, (self.values,)
+    __reduce__ = rebuild_through_init
 
     def __len__(self) -> int:
         return len(self.values)
@@ -62,17 +64,11 @@ class ValueVector:
     def __getitem__(self, i: int) -> float:
         return self.values[i]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ValueVector) and self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash(self.values)
-
     def __repr__(self) -> str:
         return f"ValueVector({list(self.values)!r})"
 
 
-_store_values = ValueVector.values.__set__  # the slot's own setter, past __setattr__
+_store_values = ValueVector.values.__set__  # the slot's own setter, past the frozen __setattr__
 _store_kept = ValueVector._kept.__set__
 
 LONG = 128

@@ -53,17 +53,17 @@ class ScoringError(DomainError):
     """A domain error raised while scoring one candidate under one principle.
 
     Wraps the underlying :class:`DomainError` and remembers which principle
-    and candidate triggered it.
+    and candidate triggered it. The three are its ``args``, so copy and
+    pickle rebuild it through this constructor, as they do any exception.
     """
 
     def __init__(self, principle: str, candidate: str, cause: DomainError):
-        self.principle = principle
-        self.candidate = candidate
-        self.cause = cause
-        super().__init__(
-            f"principle '{principle}' on candidate '{candidate}': "
-            f"{cause.name}: {cause}"
-        )
+        super().__init__(principle, candidate, cause)
+        self.principle, self.candidate, self.cause = principle, candidate, cause
+
+    def __str__(self) -> str:
+        principle, candidate, cause = self.args
+        return f"principle '{principle}' on candidate '{candidate}': {cause.name}: {cause}"
 
 
 class ConfigError(Exception):

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import AllocationContext, ValueVector, mean, ratio_vector, threshold_share
+from .core import rebuild_through_init
 from .dispersion import STD_DEV, DispersionMetric, dispersion
 from .errors import DomainError, NonFiniteScoreError
 from .welfare import benthamite, foster, isoelastic, rawlsian, sen
@@ -84,9 +85,7 @@ class PrincipleSpec:
         form = _ISOELASTIC if welfare else row.forms.get(self.variant, default)
         object.__setattr__(self, "_form", form._replace(basis=self.basis or form.basis))
 
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, which checks and resolves again
-        return PrincipleSpec, tuple(getattr(self, f.name) for f in fields(self) if f.init)
+    __reduce__ = rebuild_through_init
 
     def resolved_metric(self) -> DispersionMetric:
         return self.metric or STD_DEV

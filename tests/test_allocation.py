@@ -115,6 +115,14 @@ class TestEvaluateDiscrete:
             ctx = evaluate_discrete(problem, DiscreteAllocation(assignment))
             assert ctx.inputs.values == (0.9, 0.1)
 
+    def test_assignment_must_fit_the_problem(self):
+        problem = cake_problem()
+        with pytest.raises(ValueError, match="^allocation must assign every piece$"):
+            evaluate_discrete(problem, DiscreteAllocation((0, 1)))
+        for owner in (2, -1):
+            with pytest.raises(ValueError, match=f"^agent index {owner} out of range$"):
+                evaluate_discrete(problem, DiscreteAllocation((0, owner, 0)))
+
     @given(st.data())
     def test_conservation(self, data):
         n_agents = data.draw(st.integers(1, 3))
@@ -140,6 +148,13 @@ class TestProblemValidation:
                 pieces=(Piece(amount=1.0, bonus={"b": 0.1}),),
             )
 
+    def test_pieces_need_a_nonnegative_bonus_and_at_least_one_piece(self):
+        for bonus in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^piece bonus for 'a' must be finite and >= 0$"):
+                Piece(amount=1.0, bonus={"a": bonus})
+        with pytest.raises(ValueError, match="^a discrete problem needs at least one piece$"):
+            DiscreteProblem(agents=(Agent(id="a", input=1.0),), pieces=())
+
     def test_bonus_total_past_the_float_range(self):
         agents = (Agent(id="a", input=1.0), Agent(id="b", input=1.0))
         big = {"a": 1e308}
@@ -153,6 +168,14 @@ class TestProblemValidation:
             ContinuousProblem(agents=agents, total=7.0, retention={"a": 0.5, "b": 1.5})
         with pytest.raises(ValueError):
             ContinuousProblem(agents=agents, total=7.0, retention={"a": 0.5})
+        with pytest.raises(ValueError, match=r"^retention for unknown agents \['c'\]$"):
+            ContinuousProblem(agents=agents, total=7.0, retention={"a": 0.5, "b": 1.0, "c": 1.0})
+
+    @pytest.mark.parametrize("total", [0.0, -1.0, math.inf, math.nan])
+    def test_total_must_be_finite_and_positive(self, total):
+        agents = (Agent(id="a", input=1.0), Agent(id="b", input=1.0))
+        with pytest.raises(ValueError, match="^total must be finite and > 0$"):
+            ContinuousProblem(agents=agents, total=total, retention={"a": 0.5, "b": 1.0})
 
 
     def test_inputs_built_once(self):
@@ -408,6 +431,17 @@ class TestOptimizeFrontier:
         shares, value = optimize_frontier(problem, spec)
         assert shares.values == (7.0 / (1.0 + q), 7.0 - 7.0 / (1.0 + q))
         assert value >= oracles.optimize_frontier_full_search(problem, spec)[1]
+
+    def test_isoelastic_optimum_whose_closed_form_passes_the_float_range(self):
+        # r = (0.95 / 0.5)^(1 / 1e-300) overflows, so no split is declared and
+        # the ends decide: all to b, who retains more
+        agents = (Agent(id="a", input=1.0), Agent(id="b", input=1.0))
+        problem = ContinuousProblem(agents=agents, total=7.0, retention={"a": 0.5, "b": 0.95})
+        spec = PrincipleSpec("greater_good", mode=DIORTHOTIC, rho=1e-300)
+        assert principles._isoelastic_max(spec, 7.0, 0.5, 0.95, 1.0, 1.0) == []
+        shares, value = optimize_frontier(problem, spec)
+        assert (shares.values, value) == ((0.0, 7.0), 6.6499999999999995)
+        assert (shares, value) == oracles.optimize_frontier_full_search(problem, spec)
 
     def test_foster_on_utilities_peaks_at_its_critical_point(self):
         # the mean of the utilities moves along the frontier, so foster peaks
@@ -826,6 +860,12 @@ class TestAggregation:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             aggregate_ranks([[1, 2]], [-1.0], ["a", "b"])
+
+    def test_counts_must_match(self):
+        with pytest.raises(ValueError, match="^one weight per principle required$"):
+            aggregate_ranks([[1, 2]], [1.0, 1.0], ["a", "b"])
+        with pytest.raises(ValueError, match="^one rank per candidate required$"):
+            aggregate_ranks([[1, 2]], [1.0], ["a", "b", "c"])
 
     @settings(max_examples=200)
     @given(st.data())

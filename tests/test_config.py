@@ -6,14 +6,28 @@ import re
 
 import pytest
 
+import fairalloc
 from fairalloc import (
     ConfigError,
     ContinuousProblem,
+    DegeneratePopulationError,
     DiscreteProblem,
+    DomainError,
+    NonFiniteScoreError,
+    ScoringError,
+    WeightMismatchError,
+    ZeroBottomShareError,
+    ZeroElementError,
+    ZeroInputError,
+    ZeroMeanError,
+    ZeroSumError,
     continuous_ranking,
     discrete_ranking,
+    enumerate_discrete,
+    heatmap,
     load_config,
     parse_config,
+    score,
 )
 from fairalloc.presets import get_preset, load_preset, preset_names
 
@@ -322,6 +336,52 @@ class TestLoadConfig:
         for twin in (copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
             assert twin == cfg
             assert _ranking(twin) == table
+
+    def test_every_exported_value_and_error_copies_and_pickles(self):
+        # what a process pool sends back and forth: a sample of each exported
+        # class, taken from both presets' pipelines where the class occurs there
+        values, errors = [], []
+        for name in ("cake", "fishermen"):
+            cfg = load_preset(name)
+            table = _ranking(cfg)
+            problem, ctx = cfg.problem, table.contexts[0]
+            values += [cfg, problem, *problem.agents, table, ctx, ctx.outputs]
+            for spec in cfg.specs:
+                values += [spec, spec.resolved_metric(), score(spec, ctx)]
+            if cfg.kind == "discrete":
+                values += [*problem.pieces, enumerate_discrete(problem)[1]]
+            else:
+                values += heatmap(problem, cfg.specs[0], 3)[:2]
+            doc = get_preset(name)
+            doc["agents"][0]["input"] = 0.0  # proportion divides by each input
+            with pytest.raises(ScoringError) as err:
+                _ranking(parse_config(doc))
+            errors.append(err.value)
+        with pytest.raises(ConfigError) as err:
+            parse_config({**get_preset("cake"), "kind": "nope"})
+        errors.append(err.value)
+        errors += [
+            cls(f"a {cls.__name__}")
+            for cls in (
+                DomainError, ZeroSumError, ZeroMeanError, ZeroElementError, ZeroInputError,
+                ZeroBottomShareError, DegeneratePopulationError, WeightMismatchError,
+                NonFiniteScoreError,
+            )
+        ]
+        exported = {obj for obj in vars(fairalloc).values() if isinstance(obj, type)}
+        assert {type(sample) for sample in values + errors} == exported
+        assert len(exported) == 24
+
+        for rebuild in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            for value in values:
+                twin = rebuild(value)
+                assert type(twin) is type(value) and twin == value
+            for error in errors:
+                twin = rebuild(error)
+                assert type(twin) is type(error) and str(twin) == str(error)
+                if isinstance(error, ScoringError):
+                    assert (twin.principle, twin.candidate) == (error.principle, error.candidate)
+                    assert twin.cause.name == error.cause.name == "ZeroInput"
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "problem.json"

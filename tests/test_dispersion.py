@@ -384,6 +384,8 @@ class TestDispatch:
             DispersionMetric.parse("nope")
         with pytest.raises(ValueError):
             DispersionMetric.parse("atkinson(x)")
+        with pytest.raises(ValueError, match="^atkinson epsilon must be >= 0$"):
+            DispersionMetric.parse("atkinson(-1)")
         with pytest.raises(ValueError):
             DispersionMetric("atkinson")
         with pytest.raises(ValueError):

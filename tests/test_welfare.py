@@ -83,6 +83,11 @@ class TestIsoelastic:
         with pytest.raises(ValueError):
             isoelastic(ValueVector([1, 2]), None, -1.0)
 
+    @pytest.mark.parametrize("weight", [0.0, -1.0, math.inf, math.nan])
+    def test_weights_must_be_finite_and_positive(self, weight):
+        with pytest.raises(ValueError, match="^welfare weights must be finite and > 0$"):
+            isoelastic(ValueVector([1, 2]), [1.0, weight], 0.5)
+
     def test_log_form_with_weighted_logs_past_the_float_range(self):
         # 1e308 * ln(1e-300) is -inf and 1e308 * ln(1e300) is +inf
         with pytest.raises(NonFiniteScoreError):
