@@ -12,11 +12,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import field
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .core import Agent, AllocationContext, ValueVector, rebuild_through_init
+from .core import Agent, AllocationContext, ValueVector, immutable
 from .errors import DomainError, NonFiniteScoreError, ScoringError
 from .principles import (
     BASIS_INPUT,
@@ -44,7 +44,7 @@ def _checked_agents(agents: Sequence[Agent]) -> tuple[Agent, ...]:
     return out
 
 
-@dataclass(frozen=True)
+@immutable
 class Piece:
     """An indivisible piece: resource amount plus per-agent feature bonus."""
 
@@ -59,10 +59,8 @@ class Piece:
             if not math.isfinite(b) or b < 0.0:
                 raise ValueError(f"piece bonus for {agent_id!r} must be finite and >= 0")
 
-    __reduce__ = rebuild_through_init
 
-
-@dataclass(frozen=True)
+@immutable
 class DiscreteProblem:
     """Indivisible pieces to hand out; amounts sum to one whole resource.
 
@@ -113,17 +111,15 @@ class DiscreteProblem:
         object.__setattr__(self, "_gains", gains)
         object.__setattr__(self, "inputs", ValueVector(a.input for a in self.agents))
 
-    __reduce__ = rebuild_through_init
 
-
-@dataclass(frozen=True)
+@immutable
 class DiscreteAllocation:
     """A complete assignment: piece index -> agent index."""
 
     assignment: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@immutable
 class ContinuousProblem:
     """A divisible total split between two agents; utility is retention * share.
 
@@ -158,8 +154,6 @@ class ContinuousProblem:
             raise ValueError(f"retention for unknown agents {sorted(unknown)}")
         object.__setattr__(self, "inputs", ValueVector(a.input for a in self.agents))
         object.__setattr__(self, "_factors", tuple(self.retention[a.id] for a in self.agents))
-
-    __reduce__ = rebuild_through_init
 
     def retention_factors(self) -> tuple[float, ...]:
         return self._factors
@@ -239,23 +233,16 @@ def optimize_frontier(
     no effect.
     """
     total = problem.total
-    sign = -1.0 if principle_direction(spec) == MINIMIZE else 1.0
-
-    def objective(t: float) -> float:
-        ctx = _share_context(problem, ValueVector((t, total - t)))
-        return sign * score(spec, ctx).value
-
     factors = problem.retention_factors() if spec.resolved_basis() == BASIS_UTILITY else (1.0, 1.0)
     turns = frontier_breakpoints(spec, total, *factors, *problem.inputs.values)
     points = sorted(t for t in {0.0, total, *turns} if 0.0 <= t <= total)
+    shares = [ValueVector((t, total - t)) for t in points]
+    values = [score(spec, _share_context(problem, v)).value for v in shares]
+    best_val = (min if principle_direction(spec) == MINIMIZE else max)(values)
+    return shares[values.index(best_val)], best_val
 
-    values = [objective(t) for t in points]
-    best_val = max(values)
-    best_t = points[values.index(best_val)]
-    return ValueVector((best_t, total - best_t)), sign * best_val
 
-
-@dataclass(frozen=True)
+@immutable
 class HeatmapCell:
     """One sample of a principle score over the allocation square."""
 
@@ -344,7 +331,7 @@ def aggregate_ranks(
     return borda, combined
 
 
-@dataclass(frozen=True)
+@immutable
 class RankingTable:
     """Scores, per-principle ranks, and the combined ranking of candidates."""
 

@@ -16,18 +16,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
 from .allocation import ContinuousProblem, DiscreteProblem, Piece, _checked_agents
-from .core import Agent
+from .core import Agent, immutable
 from .dispersion import DispersionMetric
 from .errors import ConfigError
 from .principles import DIANEMETIC, PrincipleSpec
 
 
-@dataclass(frozen=True)
+@immutable
 class ProblemConfig:
     """A parsed configuration: the problem plus labelled principle specs."""
 

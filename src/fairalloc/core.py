@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 from .errors import NonFiniteScoreError, ZeroInputError
 
 
-def rebuild_through_init(value) -> tuple:
+def _rebuild_through_init(value) -> tuple:
     """``__reduce__`` of an immutable value: copy and pickle call its constructor again.
 
     Its ``init`` fields are passed, a mappingproxy (which does not pickle) as a
@@ -28,14 +28,26 @@ def rebuild_through_init(value) -> tuple:
     return type(value), tuple(dict(a) if isinstance(a, MappingProxyType) else a for a in args)
 
 
-@dataclass(frozen=True, slots=True)
+def immutable(cls=None, /, *, slots: bool = False):
+    """Declare an immutable value: a frozen dataclass, with ``__slots__`` if ``slots``.
+
+    Copy, deepcopy and pickle rebuild it through its constructor, which checks it again.
+    """
+    if cls is None:
+        return functools.partial(immutable, slots=slots)
+    cls = dataclass(frozen=True, slots=slots)(cls)
+    cls.__reduce__ = _rebuild_through_init
+    return cls
+
+
+@immutable(slots=True)
 class ValueVector:
     """Immutable vector of nonnegative, finite per-individual values.
 
     Nonnegativity is enforced at construction because every downstream
     statistic (dispersion metrics, welfare functions) is defined on
-    nonnegative values only. A frozen dataclass, as every value is; its
-    own constructor checks the values. A vector of at least ``LONG``
+    nonnegative values only. Declared :func:`immutable`, as every value is;
+    its own constructor checks the values. A vector of at least ``LONG``
     elements keeps its exact sum and ascending order after their first use
     (see :func:`kept_sum`); equality, hashing and copies read the values alone.
     """
@@ -52,8 +64,6 @@ class ValueVector:
                 fault = "negative" if math.isfinite(v) else "not finite"
                 raise ValueError(f"ValueVector element {v!r} is {fault}")
         _store_values(self, vals)
-
-    __reduce__ = rebuild_through_init
 
     def __len__(self) -> int:
         return len(self.values)
@@ -111,7 +121,7 @@ def kept_order(v: ValueVector) -> tuple[float, ...]:
     return _kept(v, _ascending)
 
 
-@dataclass(frozen=True)
+@immutable
 class Agent:
     """One individual: opaque id and input x_i."""
 
@@ -123,7 +133,7 @@ class Agent:
             raise ValueError(f"agent {self.id!r}: input must be finite and >= 0")
 
 
-@dataclass(frozen=True)
+@immutable
 class AllocationContext:
     """The (x, y, u) triple describing one allocation over one population."""
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Sequence
 
-from .core import LONG, ValueVector, kept_order, kept_sum, mean, overflow_safe
+from .core import LONG, ValueVector, immutable, kept_order, kept_sum, mean, overflow_safe
 from .errors import (
     DegeneratePopulationError,
     ZeroBottomShareError,
@@ -25,7 +24,7 @@ from .errors import (
 _METRIC_RE = re.compile(r"atkinson\((?P<eps>[^)]+)\)")
 
 
-@dataclass(frozen=True)
+@immutable
 class DispersionMetric:
     """A metric choice; ``epsilon`` is the Atkinson inequality aversion."""
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .core import AllocationContext, ValueVector, mean, ratio_vector, threshold_share
-from .core import rebuild_through_init
+from .core import AllocationContext, ValueVector, immutable, mean, ratio_vector, threshold_share
 from .dispersion import STD_DEV, DispersionMetric, dispersion
 from .errors import DomainError, NonFiniteScoreError
 from .welfare import benthamite, foster, isoelastic, rawlsian, sen
@@ -31,7 +30,7 @@ BASIS_OUTPUT = "output"
 BASIS_UTILITY = "utility"
 
 
-@dataclass(frozen=True)
+@immutable
 class PrincipleSpec:
     """One guiding principle plus the parameters its ``_SCORING`` row reads.
 
@@ -85,8 +84,6 @@ class PrincipleSpec:
         form = _ISOELASTIC if welfare else row.forms.get(self.variant, default)
         object.__setattr__(self, "_form", form._replace(basis=self.basis or form.basis))
 
-    __reduce__ = rebuild_through_init
-
     def resolved_metric(self) -> DispersionMetric:
         return self.metric or STD_DEV
 
@@ -95,7 +92,7 @@ class PrincipleSpec:
         return self._form.basis
 
 
-@dataclass(frozen=True)
+@immutable
 class PrincipleScore:
     """A principle's value for one allocation; its direction is ``direction(spec)``."""
 

@@ -46,8 +46,6 @@ def isoelastic(u: ValueVector, weights: Sequence[float] | None, rho: float) -> f
     w = _checked_weights(u, weights)
     if rho == RHO_INF:
         return min(u.values)
-    if rho == 0.0:
-        return math.fsum(wi * xi for wi, xi in zip(w, u.values))
     if rho >= 1.0 and 0.0 in u.values:
         raise ZeroElementError(
             f"isoelastic welfare with rho={_epsilon_text(rho)} needs positive utilities"

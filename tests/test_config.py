@@ -8,13 +8,17 @@ import pytest
 
 import fairalloc
 from fairalloc import (
+    Agent,
+    AllocationContext,
     ConfigError,
     ContinuousProblem,
     DegeneratePopulationError,
     DiscreteProblem,
+    DispersionMetric,
     DomainError,
     NonFiniteScoreError,
     ScoringError,
+    ValueVector,
     WeightMismatchError,
     ZeroBottomShareError,
     ZeroElementError,
@@ -382,6 +386,31 @@ class TestLoadConfig:
                 if isinstance(error, ScoringError):
                     assert (twin.principle, twin.candidate) == (error.principle, error.candidate)
                     assert twin.cause.name == error.cause.name == "ZeroInput"
+
+    def test_a_tampered_value_is_refused_on_copy(self):
+        # copy, deepcopy and pickle rebuild a value through its constructor, so a
+        # field forced past the frozen guard meets that constructor's check again;
+        # DiscreteAllocation, HeatmapCell, PrincipleScore, RankingTable and
+        # ProblemConfig have no check of their own
+        pair = ValueVector([1.0, 2.0])
+        cake, fishermen = load_preset("cake"), load_preset("fishermen")
+        cases = [
+            (ValueVector([1.0, 2.0]), "values", (1.0, -1.0), "ValueVector element -1.0 is negative"),
+            (Agent("a", 1.0), "input", -1.0, "agent 'a': input must be finite and >= 0"),
+            (AllocationContext(pair, pair, pair), "outputs", ValueVector([1.0, 2.0, 3.0]),
+             "inputs, outputs and utilities must have identical length"),
+            (cake.problem.pieces[1], "amount", -1.0, "piece amount must be finite and >= 0"),
+            (cake.problem, "pieces", cake.problem.pieces[:1],
+             "piece amounts must sum to 1, got 0.2"),
+            (fishermen.problem, "total", -1.0, "total must be finite and > 0"),
+            (fishermen.specs[0], "principle", "nope", "unknown principle 'nope'"),
+            (DispersionMetric("gini"), "kind", "nope", "unknown dispersion metric 'nope'"),
+        ]
+        for value, name, bad, message in cases:
+            object.__setattr__(value, name, bad)
+            for rebuild in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    rebuild(value)
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "problem.json"

@@ -102,6 +102,11 @@ class TestValueVector:
             del v._kept
         assert kept_order(v) is order
 
+    def test_repr_evaluates_to_an_equal_vector(self):
+        v = ValueVector([1, 2.5])
+        assert repr(v) == "ValueVector([1.0, 2.5])"
+        assert eval(repr(v)) == v
+
     def test_copies_and_pickles_to_an_equal_vector(self):
         short = ValueVector([-0.0, 5e-324, 1.7976931348623157e308])
         long = ValueVector(float(i % 7) for i in range(LONG))

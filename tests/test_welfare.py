@@ -53,6 +53,24 @@ class TestIsoelastic:
             abs_tol=1e-9,
         )
 
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=1.7976931348623157e308), min_size=1, max_size=8),
+        st.data(),
+    )
+    def test_rho_zero_is_the_exact_weighted_sum(self, values, data):
+        # rho = 0 takes the general branch: u ** 1.0 is u and dividing by 1.0 is exact
+        positive = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+        n = len(values)
+        weights = data.draw(st.none() | st.lists(positive, min_size=n, max_size=n))
+        u = ValueVector(values)
+        try:
+            expected = math.fsum(w * x for w, x in zip(weights or [1.0] * n, values))
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                isoelastic(u, weights, 0.0)
+        else:
+            assert isoelastic(u, weights, 0.0).hex() == expected.hex()
+
     def test_log_form_at_rho_one(self):
         u = ValueVector([2.0, 3.0])
         assert_close(isoelastic(u, [1, 2], 1.0), math.log(2) + 2 * math.log(3))
