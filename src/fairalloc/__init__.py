@@ -4,6 +4,7 @@ from .allocation import (
     ContinuousProblem,
     DiscreteAllocation,
     DiscreteProblem,
+    Heatmap,
     HeatmapCell,
     Piece,
     RankingTable,

@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections.abc import Mapping, Sequence
 from dataclasses import field
 from types import MappingProxyType
-from typing import Mapping, Sequence
 
 from .core import Agent, AllocationContext, ValueVector, immutable
 from .errors import DomainError, NonFiniteScoreError, ScoringError
@@ -252,9 +252,54 @@ class HeatmapCell:
     on_frontier: bool
 
 
-def heatmap(
-    problem: ContinuousProblem, spec: PrincipleSpec, grid: int
-) -> list[HeatmapCell]:
+@immutable
+class Heatmap(Sequence):
+    """A principle's scores over the allocation square, as a sequence of cells.
+
+    It holds the square as its ``axis``, the ``grid + 1`` shares from 0 to
+    total, and one score per cell in row-major order: the cell at ``row *
+    len(axis) + col`` is the point ``(axis[row], axis[col])``, and its score
+    is ``None`` where the principle is undefined. ``band`` is total / grid,
+    the width of the frontier's band. A :class:`HeatmapCell` is built only
+    when a cell is read, by index, slice or iteration; a slice is a list.
+    """
+
+    axis: tuple[float, ...]
+    scores: tuple[float | None, ...]
+    band: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "axis", tuple(self.axis))
+        object.__setattr__(self, "scores", tuple(self.scores))
+        if len(self.scores) != len(self.axis) ** 2:
+            raise ValueError(
+                f"{len(self.scores)} scores for {len(self.axis)} axis points, "
+                f"expected {len(self.axis) ** 2}"
+            )
+
+    def on_frontier(self, row: int, col: int) -> bool:
+        """Whether the cell lies within one band of the frontier y_a + y_b = total."""
+        axis = self.axis
+        return abs(axis[row] + axis[col] - axis[-1]) <= self.band
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __getitem__(self, i):
+        k = range(len(self.scores))[i]  # IndexError past either end; a slice gives a range
+        return list(map(self._cell, k)) if isinstance(i, slice) else self._cell(k)
+
+    def __iter__(self):
+        return map(self._cell, range(len(self.scores)))
+
+    def _cell(self, k: int) -> HeatmapCell:
+        row, col = divmod(k, len(self.axis))
+        return HeatmapCell(
+            self.axis[row], self.axis[col], self.scores[k], self.on_frontier(row, col)
+        )
+
+
+def heatmap(problem: ContinuousProblem, spec: PrincipleSpec, grid: int) -> Heatmap:
     """Principle scores over the full [0, total]^2 square, row-major.
 
     Off-frontier points are scored too, so contour plots can show welfare
@@ -268,22 +313,19 @@ def heatmap(
     if (cells := (grid + 1) ** 2) > ENUMERATION_CAP:
         raise ValueError(f"grid {grid} has {cells} cells, over the cap of {ENUMERATION_CAP}")
     total = problem.total
-    band = total / grid
     # where i * total is past the float range, divide first
     axis = [y if math.isfinite(y := i * total / grid) else i / grid * total for i in range(grid)]
     axis.append(total)
     basis = spec.resolved_basis()
     if basis == BASIS_INPUT:
-        values = itertools.repeat(next(score_column(spec, (problem.inputs,), problem.inputs)))
+        (value,) = score_column(spec, (problem.inputs,), problem.inputs)
+        scores = (value,) * cells
     else:
         r_a, r_b = problem.retention_factors() if basis == BASIS_UTILITY else (1.0, 1.0)
         axis_a, axis_b = [r_a * y for y in axis], [r_b * y for y in axis]
         vectors = (ValueVector((a, b)) for a in axis_a for b in axis_b)
-        values = score_column(spec, vectors, problem.inputs)
-    return [
-        HeatmapCell(y_a, y_b, value, abs(y_a + y_b - total) <= band)
-        for (y_a, y_b), value in zip(itertools.product(axis, repeat=2), values)
-    ]
+        scores = tuple(score_column(spec, vectors, problem.inputs))
+    return Heatmap(tuple(axis), scores, total / grid)
 
 
 def rank_scores(values: Sequence[float], direction: str) -> list[int]:

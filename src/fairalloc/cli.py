@@ -15,12 +15,13 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import math
 import os
 import sys
 from pathlib import Path
 
-from .allocation import RankingTable, continuous_ranking, discrete_ranking, heatmap
+from .allocation import Heatmap, RankingTable, continuous_ranking, discrete_ranking, heatmap
 from .config import ProblemConfig, load_config
 from .core import ValueVector
 from .dispersion import DispersionMetric, dispersion
@@ -198,23 +199,21 @@ def cmd_evaluate(args) -> None:
         print(f"\nwrote {args.out}")
 
 
-class _AxisFields(dict):
-    """Axis value -> its CSV field, formatted on first use."""
-
-    def __missing__(self, y: float) -> str:
-        self[y] = field = f"{y:.12g}"
-        return field
-
-
-def _heatmap_csv(cells) -> str:
-    axis = _AxisFields()
-    lines = ["y_a,y_b,score,on_frontier"]
-    for cell in cells:
-        score = "" if cell.score is None else f"{cell.score:.12g}"
-        lines.append(
-            f"{axis[cell.y_a]},{axis[cell.y_b]},{score},{1 if cell.on_frontier else 0}"
-        )
-    return "\n".join(lines) + "\n"
+def _heatmap_csv(cells: Heatmap) -> str:
+    # Read from the map's axis and score column: each axis value is formatted
+    # once and no cell object is built.
+    axis = [f"{y:.12g}" for y in cells.axis]
+    n, scores, on_frontier = len(axis), cells.scores, cells.on_frontier
+    out = io.StringIO()
+    out.write("y_a,y_b,score,on_frontier\n")
+    for row, y_a in enumerate(axis):
+        row_scores = scores[row * n:(row + 1) * n]
+        flags = map(on_frontier, itertools.repeat(row), range(n))
+        out.write("".join([
+            f"{y_a},{y_b},{'' if s is None else f'{s:.12g}'},{1 if flag else 0}\n"
+            for y_b, s, flag in zip(axis, row_scores, flags)
+        ]))
+    return out.getvalue()
 
 
 def cmd_heatmap(args) -> None:

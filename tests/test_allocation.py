@@ -19,6 +19,8 @@ from fairalloc import (
     DiscreteProblem,
     DispersionMetric,
     DomainError,
+    Heatmap,
+    HeatmapCell,
     NonFiniteScoreError,
     Piece,
     PrincipleSpec,
@@ -40,6 +42,7 @@ from fairalloc import (
 )
 from fairalloc import principles
 from fairalloc.allocation import _share_context
+from fairalloc.cli import _heatmap_csv
 from fairalloc.dispersion import dispersion
 from fairalloc.principles import _foster_peaks, _threshold_crossings
 from test_principles import ACCEPTED_SHAPES, READS
@@ -738,9 +741,10 @@ class TestHeatmap:
         axis = [y if math.isfinite(y) else i / grid * total for i, y in enumerate(axis)]
         cells = heatmap(problem, spec, grid)
         assert [(c.y_a, c.y_b) for c in cells] == list(itertools.product(axis, repeat=2))
-        # no axis value is -0.0, so the CSV's cache of axis fields may hold zeros
+        # no axis value is -0.0, so no CSV field of an axis value reads "-0"
         assert all(math.copysign(1.0, y) == 1.0 for c in cells for y in (c.y_a, c.y_b))
         for cell in cells:
+            assert cell.on_frontier == (abs(cell.y_a + cell.y_b - total) <= total / grid)
             try:
                 expected = score(spec, _share_context(problem, ValueVector((cell.y_a, cell.y_b))))
             except DomainError:
@@ -748,6 +752,47 @@ class TestHeatmap:
             else:
                 assert cell.score is not None
                 assert cell.score.hex() == expected.value.hex()
+
+    @pytest.mark.parametrize("grid", [1, 2, 7])
+    def test_a_heatmap_is_a_sequence_of_its_cells(self, grid):
+        cfg = load_preset("fishermen")
+        spec = cfg.specs[list(cfg.principle_labels).index("equality")]
+        cells = heatmap(cfg.problem, spec, grid)
+        assert isinstance(cells, Heatmap)
+        listed = list(cells)
+        n = len(cells)
+        assert n == len(listed) == (grid + 1) ** 2
+        assert all(type(cell) is HeatmapCell for cell in listed)
+        for i in range(n):
+            assert cells[i] == cells[i - n] == listed[i]
+        bounds = [None, -n - 5, -n - 1, -n, -n + 1, -1, 0, 1, n - 1, n, n + 1, n + 5]
+        for a, b, c in itertools.product(bounds, bounds, [None, 1, 2, 3, -1, -2, -n - 1]):
+            part = cells[a:b:c]
+            assert type(part) is list and part == listed[a:b:c]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                cells[i]
+        total, band = cfg.problem.total, cfg.problem.total / grid
+        size = grid + 1
+        for k, cell in enumerate(listed):
+            flag = abs(cell.y_a + cell.y_b - total) <= band
+            assert cell.on_frontier == cells.on_frontier(*divmod(k, size)) == flag
+
+    def test_the_csv_builds_no_cell(self, monkeypatch):
+        built = []
+        init = HeatmapCell.__init__
+
+        def counted(cell, *args):
+            built.append(args)
+            init(cell, *args)
+
+        monkeypatch.setattr(HeatmapCell, "__init__", counted)
+        cfg = load_preset("fishermen")
+        for spec in cfg.specs:
+            assert _heatmap_csv(heatmap(cfg.problem, spec, 7)).count("\n") == 65
+        assert built == []
+        # reading cells builds them, and the counter sees it
+        assert len(heatmap(cfg.problem, cfg.specs[0], 1)[1:]) == len(built) == 3
 
     def test_an_input_based_principle_is_scored_once(self, monkeypatch):
         calls = []

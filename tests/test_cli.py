@@ -329,6 +329,19 @@ class TestGoldenOutput:
         assert out == f"{stdout}\nwrote {path}\n"
         assert path.read_bytes() == (GOLDEN / f"{preset}.csv").read_bytes()
 
+    @pytest.mark.parametrize("principle", fairalloc.PRINCIPLES)
+    def test_heatmap_matches_snapshot(self, capsys, tmp_path, principle):
+        # the equality map leaves the origin blank: Foster is undefined there
+        golden = (GOLDEN / f"fishermen.heatmap.{principle}.csv").read_bytes()
+        argv = ["heatmap", "--preset", "fishermen", "--principle", principle, "--grid", "7"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.encode("utf-8") == golden
+        path = tmp_path / "heatmap.csv"
+        code, out, _ = run(capsys, *argv, "--out", str(path))
+        assert (code, out) == (0, "")
+        assert path.read_bytes() == golden
+
     @given(
         st.lists(AWKWARD_LABELS, min_size=1, max_size=5, unique=True),
         st.lists(AWKWARD_LABELS, min_size=1, max_size=4),

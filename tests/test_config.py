@@ -355,7 +355,8 @@ class TestLoadConfig:
             if cfg.kind == "discrete":
                 values += [*problem.pieces, enumerate_discrete(problem)[1]]
             else:
-                values += heatmap(problem, cfg.specs[0], 3)[:2]
+                cells = heatmap(problem, cfg.specs[0], 3)
+                values += [cells, *cells[:2]]
             doc = get_preset(name)
             doc["agents"][0]["input"] = 0.0  # proportion divides by each input
             with pytest.raises(ScoringError) as err:
@@ -374,7 +375,7 @@ class TestLoadConfig:
         ]
         exported = {obj for obj in vars(fairalloc).values() if isinstance(obj, type)}
         assert {type(sample) for sample in values + errors} == exported
-        assert len(exported) == 24
+        assert len(exported) == 25
 
         for rebuild in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
             for value in values:
@@ -405,6 +406,8 @@ class TestLoadConfig:
             (fishermen.problem, "total", -1.0, "total must be finite and > 0"),
             (fishermen.specs[0], "principle", "nope", "unknown principle 'nope'"),
             (DispersionMetric("gini"), "kind", "nope", "unknown dispersion metric 'nope'"),
+            (heatmap(fishermen.problem, fishermen.specs[0], 1), "scores", (0.0, 1.0, 2.0),
+             "3 scores for 2 axis points, expected 4"),
         ]
         for value, name, bad, message in cases:
             object.__setattr__(value, name, bad)
