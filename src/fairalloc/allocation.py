@@ -65,16 +65,22 @@ class DiscreteProblem:
     """Indivisible pieces to hand out; amounts sum to one whole resource.
 
     An agent's utility is the total amount received plus the bonuses the
-    received pieces carry for that agent.
+    received pieces carry for that agent. Each piece's amount, and its
+    amount plus bonus for each agent, are kept as exact integer numerators
+    over one power-of-two denominator, the largest of the denominators
+    ``float.as_integer_ratio`` gives for the amounts and bonuses, so that
+    :func:`evaluate_discrete` sums them exactly.
     """
 
     agents: tuple[Agent, ...]
     pieces: tuple[Piece, ...]
     inputs: ValueVector = field(init=False, compare=False, repr=False)
-    # Per piece, its amount and its bonus for each agent in agent order.
-    _gains: tuple[tuple[float, tuple[float, ...]], ...] = field(
+    # Per piece, its amount's numerator and, in agent order, the numerator of
+    # its amount plus its bonus for that agent, all over _denominator.
+    _numerators: tuple[tuple[int, tuple[int, ...]], ...] = field(
         init=False, compare=False, repr=False
     )
+    _denominator: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "agents", _checked_agents(self.agents))
@@ -91,24 +97,36 @@ class DiscreteProblem:
             unknown = set(piece.bonus) - ids
             if unknown:
                 raise ValueError(f"piece {i}: bonus for unknown agents {sorted(unknown)}")
-        try:
-            total = math.fsum(p.amount for p in self.pieces)
+        denominator = max(  # a power of two, so every denominator divides it
+            float(x).as_integer_ratio()[1]
+            for p in self.pieces
+            for x in (p.amount, *p.bonus.values())
+        )
+
+        def numerator(x: float) -> int:
+            n, d = float(x).as_integer_ratio()
+            return n * (denominator // d)
+
+        numerators = []
+        for p in self.pieces:
+            amount = numerator(p.amount)
+            gains = tuple(amount + numerator(p.bonus.get(a.id, 0.0)) for a in self.agents)
+            numerators.append((amount, gains))
+        try:  # int / int rounds once, as math.fsum does
+            total = sum(amount for amount, _ in numerators) / denominator
         except OverflowError:  # the exact sum is past the float range
             total = math.inf
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"piece amounts must sum to 1, got {total!r}")
-        gains = tuple(
-            (p.amount, tuple(p.bonus.get(a.id, 0.0) for a in self.agents)) for p in self.pieces
-        )
-        amounts = [amount for amount, _ in gains]
         for i, agent in enumerate(self.agents):
-            try:  # the agent's utility with every piece, summed as evaluate_discrete does
-                math.fsum(amounts + [bonuses[i] for _, bonuses in gains])
+            try:  # the agent's utility with every piece bounds every candidate's
+                sum(gains[i] for _, gains in numerators) / denominator
             except OverflowError:
                 raise ValueError(
                     f"utility of agent {agent.id!r} with every piece is not finite"
                 ) from None
-        object.__setattr__(self, "_gains", gains)
+        object.__setattr__(self, "_numerators", tuple(numerators))
+        object.__setattr__(self, "_denominator", denominator)
         object.__setattr__(self, "inputs", ValueVector(a.input for a in self.agents))
 
 
@@ -172,23 +190,27 @@ def evaluate_discrete(
 ) -> AllocationContext:
     """Outputs and utilities of one assignment; inputs pass through.
 
-    Each agent's amounts, and amounts plus bonuses, are summed exactly and
-    rounded once (``math.fsum``), so no order of pieces or agents changes them.
+    Each agent's amounts, and amounts plus bonuses, are summed as the
+    problem's integer numerators over its one power-of-two denominator and
+    rounded once by the division. The sums are exact, so each value has the
+    bits ``math.fsum`` gives, and no order of pieces or agents changes them.
     """
-    if len(allocation.assignment) != len(problem.pieces):
+    assignment = allocation.assignment
+    if len(assignment) != len(problem.pieces):
         raise ValueError("allocation must assign every piece")
     n = len(problem.agents)
-    amounts = [[] for _ in range(n)]
-    bonuses = [[] for _ in range(n)]
-    for (amount, bonus), owner in zip(problem._gains, allocation.assignment):
+    outputs = [0] * n
+    utilities = [0] * n
+    for (amount, gains), owner in zip(problem._numerators, assignment):
         if not 0 <= owner < n:
             raise ValueError(f"agent index {owner} out of range")
-        amounts[owner].append(amount)
-        bonuses[owner].append(bonus[owner])
+        outputs[owner] += amount
+        utilities[owner] += gains[owner]
+    d = problem._denominator
     return AllocationContext(
         inputs=problem.inputs,
-        outputs=ValueVector(map(math.fsum, amounts)),
-        utilities=ValueVector(math.fsum(a + b) for a, b in zip(amounts, bonuses)),
+        outputs=ValueVector([y / d for y in outputs]),
+        utilities=ValueVector([u / d for u in utilities]),
     )
 
 
@@ -225,8 +247,8 @@ def optimize_frontier(
     or over the inputs, a threshold crossing or a closed-form peak. No
     score peaks strictly between neighbouring breakpoints, so nothing is
     searched, and a score linear on the frontier is scored at the ends
-    alone. The breakpoints are scored once each in ascending t, and a point
-    replaces the best only if it scores strictly better, so ties go to the
+    alone. The breakpoints are scored once each in ascending t, and the
+    first of them with the best score is returned, so ties go to the
     smaller t and a plateau reports its left end. An input-based principle
     has one score on the whole frontier: 0 and total tie, so it proposes
     t = 0. The returned value is the best point's score. ``resolution`` has
@@ -401,6 +423,9 @@ def build_ranking(
     """Score every candidate under every principle and rank them.
 
     ``candidates`` labels ``contexts`` one to one; the labels must be unique.
+    An input-based principle (equality of opportunity) reads ``ctx.inputs``
+    alone, so it is scored again only where a context's inputs are not the
+    previous context's object; the contexts of one problem share theirs.
     """
     if len(candidates) != len(contexts):
         raise ValueError(
@@ -413,12 +438,19 @@ def build_ranking(
     ranks: list[tuple[int, ...]] = []
     for label, spec in zip(principle_labels, specs):
         row = []
+        input_based = spec.resolved_basis() == BASIS_INPUT
+        scored = None  # the inputs object an input-based spec last scored
         for candidate, ctx in zip(candidates, contexts):
+            if input_based:
+                if ctx.inputs is scored:
+                    row.append(value)
+                    continue
+                scored = ctx.inputs
             try:
-                result = score(spec, ctx)
+                value = score(spec, ctx).value
             except DomainError as err:
                 raise ScoringError(label, candidate, err) from err
-            row.append(result.value)
+            row.append(value)
         directions.append(principle_direction(spec))
         scores.append(tuple(row))
         ranks.append(tuple(rank_scores(row, directions[-1])))

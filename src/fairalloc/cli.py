@@ -143,20 +143,22 @@ def _evaluate_csv(table: RankingTable) -> str:
         writer.writerow([label, ""])  # two fields, as a lone empty field is quoted
         return buffer.getvalue()[:-2]
 
-    columns = [
-        (field(principle), table.scores[p], field(table.directions[p]), table.ranks[p])
+    def literal(label: str) -> str:  # a quoted field inside the %-template
+        return field(label).replace("%", "%%")
+
+    # A candidate's rows are one %-format of its label, then a score and a rank per principle.
+    template = "".join(
+        f"%s,{literal(principle)},%.12g,{literal(table.directions[p])},%d\n"
         for p, principle in enumerate(table.principles)
+    )
+    candidates = list(map(field, table.candidates))
+    columns = [
+        column
+        for scores, ranks in zip(table.scores, table.ranks)
+        for column in (candidates, scores, ranks)
     ]
     lines = ["candidate,principle,score,direction,rank\n"]
-    for c, candidate in enumerate(map(field, table.candidates)):
-        lines.append(
-            "".join(
-                [
-                    f"{candidate},{principle},{scores[c]:.12g},{direction},{ranks[c]}\n"
-                    for principle, scores, direction, ranks in columns
-                ]
-            )
-        )
+    lines += map(template.__mod__, zip(*columns))
     return "".join(lines)
 
 

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -126,6 +128,49 @@ class TestEvaluateDiscrete:
             with pytest.raises(ValueError, match=f"^agent index {owner} out of range$"):
                 evaluate_discrete(problem, DiscreteAllocation((0, owner, 0)))
 
+    # Amounts and bonuses at the edges of the float range: signed zeros,
+    # subnormals, and bonuses whose sums come near or past the largest float.
+    EDGE_AMOUNTS = st.sampled_from(
+        [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.1, 0.2, 1 / 7]
+    ) | st.floats(min_value=0.0, max_value=0.25)
+    EDGE_BONUSES = st.sampled_from(
+        [0.0, -0.0, 5e-324, 1e-310, 0.1, 1e307, 8.98846567431158e307, 1e308]
+    ) | st.floats(min_value=0.0, max_value=1e308)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_sums_have_the_bits_of_fsum(self, data):
+        n_agents = data.draw(st.integers(1, 3))
+        rest = data.draw(st.lists(self.EDGE_AMOUNTS, min_size=0, max_size=4))
+        amounts = [*rest, 1.0 - math.fsum(rest)]  # each of rest is at most 1/4
+        ids = [f"a{i}" for i in range(n_agents)]
+        pieces = tuple(
+            Piece(amount, data.draw(st.dictionaries(st.sampled_from(ids), self.EDGE_BONUSES)))
+            for amount in amounts
+        )
+        agents = tuple(Agent(id=i, input=1.0) for i in ids)
+
+        def gains(owned, agent):
+            return [x for piece in owned for x in (piece.amount, piece.bonus.get(agent, 0.0))]
+
+        try:
+            problem = DiscreteProblem(agents=agents, pieces=pieces)
+        except ValueError as err:  # refused exactly where fsum overflows for some agent
+            overflows = []
+            for agent in ids:
+                try:
+                    math.fsum(gains(pieces, agent))
+                except OverflowError:
+                    overflows.append(f"utility of agent {agent!r} with every piece is not finite")
+            assert str(err) == overflows[0]
+            return
+        for allocation in enumerate_discrete(problem):
+            ctx = evaluate_discrete(problem, allocation)
+            for i, agent in enumerate(ids):
+                owned = [p for p, owner in zip(pieces, allocation.assignment) if owner == i]
+                assert ctx.outputs[i].hex() == math.fsum(p.amount for p in owned).hex()
+                assert ctx.utilities[i].hex() == math.fsum(gains(owned, agent)).hex()
+
     @given(st.data())
     def test_conservation(self, data):
         n_agents = data.draw(st.integers(1, 3))
@@ -164,6 +209,20 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="utility of agent 'a' with every piece"):
             DiscreteProblem(agents=agents, pieces=(Piece(0.5, big), Piece(0.5, big)))
         DiscreteProblem(agents=agents, pieces=(Piece(0.5, big), Piece(0.5, {"b": 1e308})))
+
+    def test_utility_of_the_largest_float_is_accepted(self):
+        # With amounts 1/2 + 1/2, the exact utilities are max + 2**969 + 1, which
+        # rounds to max, and max + 2**970 + 1, past the halfway point to 2**1024.
+        agents = (Agent(id="a", input=1.0), Agent(id="b", input=1.0))
+        big = {"a": sys.float_info.max}
+        problem = DiscreteProblem(agents=agents, pieces=(Piece(0.5, big), Piece(0.5, {"a": 2.0**969})))
+        ctx = evaluate_discrete(problem, DiscreteAllocation((0, 0)))
+        assert ctx.utilities[0] == sys.float_info.max == math.fsum([0.5, 0.5, *big.values(), 2.0**969])
+        with pytest.raises(OverflowError):
+            math.fsum([0.5, 0.5, *big.values(), 2.0**970])
+        with pytest.raises(ValueError) as err:
+            DiscreteProblem(agents=agents, pieces=(Piece(0.5, big), Piece(0.5, {"a": 2.0**970})))
+        assert str(err.value) == "utility of agent 'a' with every piece is not finite"
 
     def test_retention_range(self):
         agents = (Agent(id="a", input=1.0), Agent(id="b", input=1.0))
@@ -868,6 +927,34 @@ class TestRanking:
         with pytest.raises(ValueError) as err:
             build_ranking(labels, contexts, *rest)
         assert str(err.value) == "candidate labels must be unique"
+
+    def test_an_input_based_principle_is_scored_once_per_inputs_vector(self, monkeypatch):
+        calls = _count_scores(monkeypatch)
+        cfg = load_preset("cake")
+        table = discrete_ranking(cfg.problem, cfg.principle_labels, cfg.specs, cfg.weights)
+        counts = Counter(principle for principle, _ in calls)
+        assert counts.pop("equality_of_opportunity") == 1
+        assert set(counts.values()) == {8}  # every other principle, once per candidate
+        p = cfg.principle_labels.index("equality_of_opportunity")
+        assert len(set(table.scores[p])) == 1
+        # two inputs objects, even equal ones, are scored once each, in candidate order
+        one = evaluate_discrete(cfg.problem, DiscreteAllocation((0, 1, 0)))
+        other = dataclasses.replace(one, inputs=ValueVector([0.5, 0.5]))
+        same = dataclasses.replace(one, inputs=ValueVector(one.inputs))
+        spec = cfg.specs[p]
+        calls.clear()
+        table = build_ranking(["1", "2", "3", "4"], [one, one, other, same], ["eoo"], [spec], [1.0])
+        assert len(calls) == 3
+        assert table.scores[0] == (*[score(spec, one).value] * 2, 0.0, score(spec, one).value)
+
+    def test_an_input_based_failure_names_the_first_candidate(self):
+        agents = (Agent(id="a", input=0.0), Agent(id="b", input=1.0))
+        problem = DiscreteProblem(agents=agents, pieces=(Piece(0.5, {}), Piece(0.5, {})))
+        spec = PrincipleSpec("equality_of_opportunity", metric=DispersionMetric("theil_l"))
+        with pytest.raises(ScoringError) as err:
+            discrete_ranking(problem, ["eoo"], [spec], [1.0])
+        assert (err.value.principle, err.value.candidate) == ("eoo", "scenario 1")
+        assert err.value.cause.name == "ZeroElement"
 
     @given(
         st.lists(st.integers(min_value=0, max_value=100).map(float), min_size=2, max_size=12),

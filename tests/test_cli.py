@@ -20,7 +20,8 @@ from fairalloc.presets import get_preset
 GOLDEN = Path(__file__).parent / "golden"
 # Labels a CSV writer must quote, or must leave alone, and free text.
 AWKWARD_LABELS = st.sampled_from(
-    ["", " lead", "trail ", "a,b", 'say "hi"', '"', ",", "cr\rhere", "lf\nhere", "\r\n", "t=3.5"]
+    ["", " lead", "trail ", "a,b", 'say "hi"', '"', ",", "cr\rhere", "lf\nhere", "\r\n", "t=3.5",
+     "%", "%s", "%%d", "100%"]
 ) | st.text(max_size=8)
 
 
