@@ -138,6 +138,8 @@ def _evaluate_csv(table: RankingTable) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
 
     def field(label: str) -> str:
+        if not ("," in label or '"' in label or "\r" in label or "\n" in label):
+            return label  # the writer would write it as it is
         buffer.seek(0)
         buffer.truncate()
         writer.writerow([label, ""])  # two fields, as a lone empty field is quoted

@@ -48,8 +48,9 @@ class ValueVector:
     statistic (dispersion metrics, welfare functions) is defined on
     nonnegative values only. Declared :func:`immutable`, as every value is;
     its own constructor checks the values. A vector of at least ``LONG``
-    elements keeps its exact sum and ascending order after their first use
-    (see :func:`kept_sum`); equality, hashing and copies read the values alone.
+    elements keeps its exact sum, ascending order, Gini and Theil T after
+    their first use (see :func:`kept`); equality, hashing and copies read the
+    values alone.
     """
 
     values: tuple[float, ...]
@@ -82,43 +83,48 @@ _store_values = ValueVector.values.__set__  # the slot's own setter, past the fr
 _store_kept = ValueVector._kept.__set__
 
 LONG = 128
-"""Length from which a vector keeps its exact sum and ascending order.
+"""Length from which a vector keeps each :func:`kept` statistic after its first use.
 
-Shorter vectors recompute both on each use. Their statistics skip the call
+Shorter vectors recompute it on each use. Their statistics skip the call
 too: a hot caller reads :func:`kept_sum` or :func:`kept_order` only for
 ``len(v.values) >= LONG``. From about this length, a fresh vector scored by
 two statistics that read its sum costs no more when they are kept.
 """
 
 
-def _kept(v: ValueVector, compute):
-    # compute(v.values), kept in v's private slot after its first use if v is long.
-    # A compute that raises (fsum past the float range) keeps nothing, so it
-    # raises again at the same point on the next use.
-    if len(v.values) < LONG:
-        return compute(v.values)
-    kept = getattr(v, "_kept", None)
-    if kept is None:
-        kept = {}
-        _store_kept(v, kept)
-    value = kept.get(compute)
-    if value is None:
-        value = kept[compute] = compute(v.values)
-    return value
+def kept(statistic):
+    """Declare a statistic of one vector that a vector of ``LONG`` or more elements keeps.
+
+    Its first use computes it into the vector's private slot; later uses read
+    it there. A shorter vector computes it on each use. A use that raises (an
+    exact sum past the float range, an all-zero vector) keeps nothing, so the
+    next use raises again at the same point.
+    """
+    @functools.wraps(statistic)
+    def keep(v: ValueVector):
+        if len(v.values) < LONG:
+            return statistic(v)
+        store = getattr(v, "_kept", None)
+        if store is None:
+            store = {}
+            _store_kept(v, store)
+        value = store.get(statistic)
+        if value is None:
+            value = store[statistic] = statistic(v)
+        return value
+    return keep
 
 
-def _ascending(values: tuple[float, ...]) -> tuple[float, ...]:
-    return tuple(sorted(values))  # a tuple: no reader can reorder the kept order
-
-
+@kept
 def kept_sum(v: ValueVector) -> float:
-    """``math.fsum(v.values)``; a vector of ``LONG`` or more elements keeps it."""
-    return _kept(v, math.fsum)
+    """``math.fsum(v.values)``."""
+    return math.fsum(v.values)
 
 
+@kept
 def kept_order(v: ValueVector) -> tuple[float, ...]:
-    """``sorted(v.values)`` as a tuple; a vector of ``LONG`` or more elements keeps it."""
-    return _kept(v, _ascending)
+    """``sorted(v.values)`` as a tuple: no reader can reorder the kept order."""
+    return tuple(sorted(v.values))
 
 
 @immutable

@@ -1,18 +1,29 @@
 """Statistical dispersion and economic concentration metrics.
 
 All metrics are pure functions of a nonnegative :class:`ValueVector`.
-Except for the standard deviation they are scale invariant, return zero on
-constant vectors, and respect the Pigou-Dalton transfer principle (a
-rich-to-poor transfer never increases them).
+Except for the standard deviation they are scale invariant, and they
+respect the Pigou-Dalton transfer principle (a rich-to-poor transfer never
+increases them). In exact arithmetic all but the Palma ratio (1/4 at
+equality) return zero on constant vectors. In floats the mean of a constant
+vector need not be that constant, so a metric of one can read a few
+rounding errors above zero.
+
+Gini's weighted sum and the log sums map ``math`` functions and
+``operator`` arithmetic over the values, so their loops run in C; each
+element goes through the same float operations as in a generator
+expression. The other sums stay generator expressions, which are faster on
+the two- or three-element vectors that allocations score.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
+from itertools import repeat
 from typing import Sequence
 
-from .core import LONG, ValueVector, immutable, kept_order, kept_sum, mean, overflow_safe
+from .core import LONG, ValueVector, immutable, kept, kept_order, kept_sum, mean, overflow_safe
 from .errors import (
     DegeneratePopulationError,
     ZeroBottomShareError,
@@ -66,12 +77,13 @@ def _epsilon_text(epsilon: float) -> str:
     return repr(epsilon).removesuffix(".0")
 
 
+@kept
 @overflow_safe(0)
 def gini(v: ValueVector) -> float:
     """Gini coefficient: mean absolute pairwise difference over 2n*sum.
 
     Computed from the sorted vector in O(n log n); equals the O(n^2)
-    pairwise-sum definition.
+    pairwise-sum definition. A vector of ``LONG`` or more elements keeps it.
     """
     values = v.values
     n = len(values)
@@ -81,7 +93,7 @@ def gini(v: ValueVector) -> float:
     if math.isinf(n * total):  # covers the weighted sum too: it is at most n * total
         raise OverflowError("n * sum is past the float range")
     ordered = sorted(values) if n < LONG else kept_order(v)
-    weighted = math.fsum((i + 1) * x for i, x in enumerate(ordered))
+    weighted = math.fsum(map(operator.mul, range(1, n + 1), ordered))
     # 2 * (w / d) has the bits of 2 * w / d, but 2 * w cannot overflow
     return max(0.0, 2.0 * (weighted / (n * total)) - (n + 1) / n)
 
@@ -123,7 +135,7 @@ def atkinson(v: ValueVector, epsilon: float) -> float:
             f"atkinson with epsilon={_epsilon_text(epsilon)} needs strictly positive values"
         )
     if epsilon == 1.0:
-        log_gm = math.fsum(math.log(x) for x in v.values) / len(v.values)
+        log_gm = math.fsum(map(math.log, v.values)) / len(v.values)
         return max(0.0, 1.0 - math.exp(log_gm) / m)
     return max(0.0, 1.0 - _power_mean(v.values, 1.0 - epsilon) / m)
 
@@ -192,8 +204,12 @@ def std_dev(v: ValueVector) -> float:
     return math.sqrt(math.fsum((x - m) ** 2 for x in v.values) / len(v.values))
 
 
+@kept
 def theil_t(v: ValueVector) -> float:
-    """Theil T index: (1/n) * sum (x/mean) ln(x/mean); 0 ln 0, also of an underflow, is 0."""
+    """Theil T index: (1/n) * sum (x/mean) ln(x/mean); 0 ln 0, also of an underflow, is 0.
+
+    A vector of ``LONG`` or more elements keeps it.
+    """
     m = mean(v)
     if m == 0.0:
         raise ZeroMeanError("Theil T undefined for a zero-mean vector")
@@ -206,9 +222,9 @@ def theil_l(v: ValueVector) -> float:
     if 0.0 in v.values:
         raise ZeroElementError("Theil L diverges on zero elements")
     m = mean(v)
-    acc = math.fsum(math.log(m / x) for x in v.values)
+    acc = math.fsum(map(math.log, map(operator.truediv, repeat(m), v.values)))
     if math.isinf(acc):  # m / x overflowed, but ln m - ln x is finite
-        acc = math.fsum(math.log(m) - math.log(x) for x in v.values)
+        acc = math.fsum(map(operator.sub, repeat(math.log(m)), map(math.log, v.values)))
     return max(0.0, acc / len(v.values))
 
 

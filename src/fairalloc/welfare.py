@@ -11,6 +11,8 @@ opportunity and proportion.
 from __future__ import annotations
 
 import math
+import operator
+from itertools import repeat
 from typing import Sequence
 
 from .core import LONG, ValueVector, kept_sum, mean
@@ -52,11 +54,11 @@ def isoelastic(u: ValueVector, weights: Sequence[float] | None, rho: float) -> f
         )
     if rho == 1.0:
         try:
-            return math.fsum(wi * math.log(xi) for wi, xi in zip(w, u.values))
+            return math.fsum(map(operator.mul, w, map(math.log, u.values)))
         except ValueError:  # -inf + inf: weighted logs past the float range
             raise NonFiniteScoreError("weighted log utilities overflow the float range") from None
     p = 1.0 - rho
-    return math.fsum(wi * xi**p for wi, xi in zip(w, u.values)) / p
+    return math.fsum(map(operator.mul, w, map(pow, u.values, repeat(p)))) / p
 
 
 def benthamite(u: ValueVector) -> float:
@@ -70,10 +72,16 @@ def rawlsian(u: ValueVector) -> float:
 
 
 def sen(y: ValueVector) -> float:
-    """Sen welfare: mean output discounted by inequality, mean * (1 - Gini)."""
+    """Sen welfare: mean output discounted by inequality, mean * (1 - Gini).
+
+    A vector of ``LONG`` or more elements reuses the Gini it keeps.
+    """
     return mean(y) * (1.0 - gini(y))
 
 
 def foster(y: ValueVector) -> float:
-    """Foster welfare: mean output discounted by Theil T, mean * exp(-T)."""
+    """Foster welfare: mean output discounted by Theil T, mean * exp(-T).
+
+    A vector of ``LONG`` or more elements reuses the Theil T it keeps.
+    """
     return mean(y) * math.exp(-theil_t(y))

@@ -14,8 +14,21 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from fairalloc import MINIMIZE, ValueVector, direction, principles
+from fairalloc import (
+    MINIMIZE,
+    NonFiniteScoreError,
+    ValueVector,
+    ZeroElementError,
+    ZeroMeanError,
+    ZeroSumError,
+    direction,
+    mean,
+    principles,
+)
 from fairalloc.allocation import _share_context
+from fairalloc.core import overflow_safe
+from fairalloc.dispersion import _epsilon_text, _power_mean
+from fairalloc.welfare import RHO_INF, _checked_weights
 
 
 def value_vector_error(values) -> str | None:
@@ -187,6 +200,73 @@ def atkinson_direct(values, epsilon: float) -> float:
         return 1.0 - float(np.exp(np.log(xs).mean())) / m
     p = 1.0 - epsilon
     return 1.0 - float((xs**p).mean() ** (1.0 / p)) / m
+
+
+# The statistics whose per-element sums the library maps over the values in C,
+# with each of those sums written as the generator expression fed to math.fsum
+# that it replaced. The library must give their bits and their errors.
+
+@overflow_safe(0)
+def gini_by_generator(v: ValueVector) -> float:
+    values = v.values
+    n = len(values)
+    total = math.fsum(values)
+    if total == 0.0:
+        raise ZeroSumError("gini undefined for an all-zero vector")
+    if math.isinf(n * total):
+        raise OverflowError("n * sum is past the float range")
+    weighted = math.fsum((i + 1) * x for i, x in enumerate(sorted(values)))
+    return max(0.0, 2.0 * (weighted / (n * total)) - (n + 1) / n)
+
+
+@overflow_safe(0)
+def atkinson_by_generator(v: ValueVector, epsilon: float) -> float:
+    m = mean(v)
+    if m == 0.0:
+        raise ZeroMeanError("atkinson undefined for a zero-mean vector")
+    if epsilon == 0.0:
+        return 0.0
+    if math.isinf(epsilon):
+        return max(0.0, 1.0 - min(v.values) / m)
+    if epsilon >= 1.0 and 0.0 in v.values:
+        raise ZeroElementError(
+            f"atkinson with epsilon={_epsilon_text(epsilon)} needs strictly positive values"
+        )
+    if epsilon == 1.0:
+        log_gm = math.fsum(math.log(x) for x in v.values) / len(v.values)
+        return max(0.0, 1.0 - math.exp(log_gm) / m)
+    return max(0.0, 1.0 - _power_mean(v.values, 1.0 - epsilon) / m)
+
+
+def theil_l_by_generator(v: ValueVector) -> float:
+    if 0.0 in v.values:
+        raise ZeroElementError("Theil L diverges on zero elements")
+    m = mean(v)
+    acc = math.fsum(math.log(m / x) for x in v.values)
+    if math.isinf(acc):
+        acc = math.fsum(math.log(m) - math.log(x) for x in v.values)
+    return max(0.0, acc / len(v.values))
+
+
+def sen_by_generator(y: ValueVector) -> float:
+    return mean(y) * (1.0 - gini_by_generator(y))
+
+
+def isoelastic_by_generator(u: ValueVector, weights, rho: float) -> float:
+    w = _checked_weights(u, weights)
+    if rho == RHO_INF:
+        return min(u.values)
+    if rho >= 1.0 and 0.0 in u.values:
+        raise ZeroElementError(
+            f"isoelastic welfare with rho={_epsilon_text(rho)} needs positive utilities"
+        )
+    if rho == 1.0:
+        try:
+            return math.fsum(wi * math.log(xi) for wi, xi in zip(w, u.values))
+        except ValueError:
+            raise NonFiniteScoreError("weighted log utilities overflow the float range") from None
+    p = 1.0 - rho
+    return math.fsum(wi * xi**p for wi, xi in zip(w, u.values)) / p
 
 
 def isoelastic_closed_form(utilities, weights, rho: float) -> float:

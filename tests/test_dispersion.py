@@ -1,5 +1,7 @@
+import importlib
 import math
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -22,6 +24,7 @@ from fairalloc import (
     gini,
     herfindahl_normalized,
     hoover,
+    isoelastic,
     mean,
     palma,
     palma_shares,
@@ -142,17 +145,106 @@ KEPT_VALUE_READERS = {**WIDE_RANGE_FUNCTIONS, "mean": mean, "benthamite": bentha
 @example([MAX_FLOAT] * (LONG - 1) + [0.0])
 @example([0.0] * (LONG + 1))
 def test_kept_sum_and_order_change_no_bit(values):
-    # A vector of LONG or more elements keeps its sum and order after their
-    # first use; every function then gives what it gives on a fresh vector.
+    # A vector of LONG or more elements keeps its sum, order, Gini and Theil T
+    # after their first use; every function then gives what it gives on a
+    # fresh vector.
     for name, fn in KEPT_VALUE_READERS.items():
         warmed = ValueVector(values)
         for other_name, other in KEPT_VALUE_READERS.items():
             if other_name != name:
                 _outcome(other, warmed)
         assert _outcome(fn, warmed) == _outcome(fn, ValueVector(values)), name
-    # what is kept is the exact sum and the ascending order
+    # what is kept is the exact sum, the ascending order, and the Gini and
+    # Theil T of a fresh vector; a statistic that raised keeps nothing
     assert _outcome(kept_sum, warmed) == _outcome(lambda v: math.fsum(values), warmed)
     assert kept_order(warmed) == tuple(sorted(values))
+    store = getattr(warmed, "_kept", None) or {}
+    for statistic in (gini, theil_t):
+        fresh = _outcome(statistic, ValueVector(values))
+        kept = store.get(statistic.__wrapped__)
+        if len(values) < LONG or isinstance(fresh, tuple):
+            assert kept is None, statistic.__name__
+        else:
+            assert kept.hex() == fresh, statistic.__name__
+
+
+_DISPERSION = importlib.import_module("fairalloc.dispersion")
+
+
+def test_sen_and_foster_reuse_the_kept_gini_and_theil_t(monkeypatch):
+    # gini reads the kept order, and theil_t the mean, once per computation
+    calls = Counter()
+
+    def counted(fn):
+        def count(v):
+            calls[fn.__name__] += 1
+            return fn(v)
+        return count
+
+    monkeypatch.setattr(_DISPERSION, "kept_order", counted(kept_order))
+    monkeypatch.setattr(_DISPERSION, "mean", counted(mean))
+    v = ValueVector(float(i % 7 + 1) for i in range(LONG))
+    g = gini(v)
+    assert sen(v) == mean(v) * (1.0 - g)
+    t = theil_t(v)
+    assert foster(v) == mean(v) * math.exp(-t)
+    assert calls == {"kept_order": 1, "mean": 1}
+
+
+def test_all_zero_long_vector_raises_on_every_gini_call():
+    v = ValueVector([0.0] * (LONG + 1))
+    for _ in range(3):
+        with pytest.raises(ZeroSumError, match="^gini undefined for an all-zero vector$"):
+            gini(v)
+    assert gini.__wrapped__ not in v._kept
+
+
+# The generator form of each sum the library maps in C is the reference; every
+# other function is its own reference on a fresh vector.
+REFERENCE_FUNCTIONS = {
+    **WIDE_RANGE_FUNCTIONS,
+    "gini": oracles.gini_by_generator,
+    **{
+        name: lambda v, eps=DispersionMetric.parse(name).epsilon: oracles.atkinson_by_generator(v, eps)
+        for name in WIDE_RANGE_FUNCTIONS
+        if name.startswith("atkinson(")
+    },
+    "theil_l": oracles.theil_l_by_generator,
+    "sen": oracles.sen_by_generator,
+}
+
+
+POSITIVE_WIDE_RANGE = (
+    st.sampled_from([5e-324, MAX_FLOAT])
+    | st.floats(5e-324, sys.float_info.min, exclude_max=True)  # subnormal
+    | st.floats(1e-300, 1e308)
+    | st.floats(1e308, MAX_FLOAT)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2 * LONG).flatmap(lambda n: st.tuples(
+    # vectors with zeros; without, where the log sums are defined; and within
+    # a range where Theil L's mean / x does not overflow
+    st.lists(POSITIVE_WIDE_RANGE | st.just(0.0), min_size=n, max_size=n)
+    | st.lists(POSITIVE_WIDE_RANGE, min_size=n, max_size=n)
+    | st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n),
+    st.lists(st.sampled_from([1.0, MAX_FLOAT]) | st.floats(1e-300, 1e300), min_size=n, max_size=n),
+)))
+@example(([1e-160] + [1e160] * 9, [1.0] * 10))
+@example(([5e-324, 1.0], [1.0, 1.0]))  # Theil L's mean / x overflows
+@example(([1e-300, 1e300], [MAX_FLOAT, MAX_FLOAT]))  # the weighted logs overflow
+def test_mapped_sums_give_the_bits_of_the_generator_sums(values_and_weights):
+    values, weights = values_and_weights
+    warmed = ValueVector(values)  # read in turn by every function, as a panel reads it
+    for name, fn in WIDE_RANGE_FUNCTIONS.items():
+        reference = REFERENCE_FUNCTIONS[name]
+        assert _outcome(fn, warmed) == _outcome(reference, ValueVector(values)), name
+    for rho in (0.0, 0.5, 1.0, 2.0, INF):
+        for w in (None, weights):
+            assert _outcome(lambda u: isoelastic(u, w, rho), warmed) == _outcome(
+                lambda u: oracles.isoelastic_by_generator(u, w, rho), warmed
+            ), (rho, w is None)
 
 
 class TestGini:
