@@ -9,6 +9,8 @@ per principle, and the rankings are combined with a weighted Borda count.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 import operator
@@ -27,6 +29,8 @@ from .principles import (
     frontier_breakpoints,
     score,
     score_column,
+    scored_over_inputs,
+    weighs_two_alike,
 )
 
 ENUMERATION_CAP = 1_000_000
@@ -278,8 +282,8 @@ class HeatmapCell:
 class Heatmap(Sequence):
     """A principle's scores over the allocation square, as a sequence of cells.
 
-    It holds the square as its ``axis``, the ``grid + 1`` shares from 0 to
-    total, and one score per cell in row-major order: the cell at ``row *
+    It holds the square as its ``axis``, the ``grid + 1`` shares ascending
+    from 0 to total, and one score per cell in row-major order: the cell at ``row *
     len(axis) + col`` is the point ``(axis[row], axis[col])``, and its score
     is ``None`` where the principle is undefined. ``band`` is total / grid,
     the width of the frontier's band. A :class:`HeatmapCell` is built only
@@ -298,11 +302,33 @@ class Heatmap(Sequence):
                 f"{len(self.scores)} scores for {len(self.axis)} axis points, "
                 f"expected {len(self.axis) ** 2}"
             )
+        if any(map(operator.gt, self.axis, self.axis[1:])):
+            raise ValueError("the axis must ascend")  # frontier_columns bisects it
+
+    def frontier_columns(self, row: int) -> range:
+        """The columns of ``row`` whose cells lie within one band of the frontier y_a + y_b = total.
+
+        A cell is on it where abs(y_a + y_b - total) <= band. Along a row that
+        difference never falls, as the axis ascends, so the columns are one
+        run, and its two ends are found by bisection.
+        """
+        axis, band = self.axis, self.band
+        y_a, total = axis[row], axis[-1]
+
+        def gap(y_b: float) -> float:
+            return y_a + y_b - total
+
+        start = bisect.bisect_left(axis, -band, key=gap)
+        return range(start, bisect.bisect_right(axis, band, start, key=gap))
+
+    @functools.cached_property
+    def _frontier_runs(self) -> tuple[range, ...]:
+        # every row's frontier_columns, taken on the first cell read
+        return tuple(map(self.frontier_columns, range(len(self.axis))))
 
     def on_frontier(self, row: int, col: int) -> bool:
-        """Whether the cell lies within one band of the frontier y_a + y_b = total."""
-        axis = self.axis
-        return abs(axis[row] + axis[col] - axis[-1]) <= self.band
+        """Whether the cell lies within one band of the frontier; see ``frontier_columns``."""
+        return col in self._frontier_runs[row]
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -326,9 +352,14 @@ def heatmap(problem: ContinuousProblem, spec: PrincipleSpec, grid: int) -> Heatm
 
     Off-frontier points are scored too, so contour plots can show welfare
     level sets crossing the frontier. Cells whose score raises a domain
-    error carry ``None`` instead of aborting the sweep. The square is scored
-    as one column of the basis vector the spec reads, streamed cell by cell;
-    an input-based principle (equality of opportunity) is scored once.
+    error carry ``None`` instead of aborting the sweep. Each axis point is
+    prescaled once per agent to what the spec's form reads (times the
+    agent's retention on utilities, then over the agent's input where the
+    spec is scored over the inputs), and the cells are scored as one column
+    of the vectors built from the two prescaled axes. Where the two are
+    equal and the spec weighs both agents alike, the square is symmetric:
+    the upper triangle, diagonal included, is scored and mirrored. An
+    input-based principle (equality of opportunity) is scored once.
     """
     if grid < 1:
         raise ValueError("grid must be >= 1")
@@ -338,16 +369,36 @@ def heatmap(problem: ContinuousProblem, spec: PrincipleSpec, grid: int) -> Heatm
     # where i * total is past the float range, divide first
     axis = [y if math.isfinite(y := i * total / grid) else i / grid * total for i in range(grid)]
     axis.append(total)
+    axis, band = tuple(axis), total / grid
     basis = spec.resolved_basis()
     if basis == BASIS_INPUT:
-        (value,) = score_column(spec, (problem.inputs,), problem.inputs)
-        scores = (value,) * cells
-    else:
-        r_a, r_b = problem.retention_factors() if basis == BASIS_UTILITY else (1.0, 1.0)
-        axis_a, axis_b = [r_a * y for y in axis], [r_b * y for y in axis]
-        vectors = (ValueVector((a, b)) for a in axis_a for b in axis_b)
-        scores = tuple(score_column(spec, vectors, problem.inputs))
-    return Heatmap(tuple(axis), scores, total / grid)
+        (value,) = score_column(spec, (problem.inputs,))
+        return Heatmap(axis, (value,) * cells, band)
+    factors = problem.retention_factors() if basis == BASIS_UTILITY else (1.0, 1.0)
+    axis_a, axis_b = ([r * y for y in axis] for r in factors)
+    if scored_over_inputs(spec):
+        if 0.0 in problem.inputs.values:  # every ratio is undefined
+            return Heatmap(axis, (None,) * cells, band)
+        p, q = problem.inputs.values
+        axis_a, axis_b = [y / p for y in axis_a], [y / q for y in axis_b]
+    # A ratio past the float range is inf, and undefined; the axes ascend,
+    # so only rows and columns from the first such point on are affected.
+    rows, cols = bisect.bisect_left(axis_a, math.inf), bisect.bisect_left(axis_b, math.inf)
+    mirror = axis_a == axis_b and weighs_two_alike(spec)
+    column = score_column(spec, (
+        ValueVector((a, b))
+        for row, a in enumerate(axis_a[:rows])
+        for b in axis_b[row if mirror else 0:cols]
+    ))
+    n = grid + 1
+    scores = [None] * cells
+    for row in range(rows):
+        first = row if mirror else 0
+        k = row * n
+        scores[k + first:k + cols] = itertools.islice(column, cols - first)
+        if mirror:  # the scores right of the diagonal go below it, down column row
+            scores[k + n + row:cols * n:n] = scores[k + row + 1:k + cols]
+    return Heatmap(axis, scores, band)
 
 
 def rank_scores(values: Sequence[float], direction: str) -> list[int]:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import math
 import os
 import sys
@@ -205,16 +204,18 @@ def cmd_evaluate(args) -> None:
 
 def _heatmap_csv(cells: Heatmap) -> str:
     # Read from the map's axis and score column: each axis value is formatted
-    # once and no cell object is built.
+    # once, each row's flags come from its one run of frontier columns, and
+    # no cell object is built.
     axis = [f"{y:.12g}" for y in cells.axis]
-    n, scores, on_frontier = len(axis), cells.scores, cells.on_frontier
+    n, scores = len(axis), cells.scores
     out = io.StringIO()
     out.write("y_a,y_b,score,on_frontier\n")
     for row, y_a in enumerate(axis):
         row_scores = scores[row * n:(row + 1) * n]
-        flags = map(on_frontier, itertools.repeat(row), range(n))
+        run = cells.frontier_columns(row)
+        flags = ["0"] * run.start + ["1"] * len(run) + ["0"] * (n - run.stop)
         out.write("".join([
-            f"{y_a},{y_b},{'' if s is None else f'{s:.12g}'},{1 if flag else 0}\n"
+            f"{y_a},{y_b},{'' if s is None else f'{s:.12g}'},{flag}\n"
             for y_b, s, flag in zip(axis, row_scores, flags)
         ]))
     return out.getvalue()

@@ -104,6 +104,23 @@ def direction(spec: PrincipleSpec) -> str:
     return spec._form.direction
 
 
+def scored_over_inputs(spec: PrincipleSpec) -> bool:
+    """Whether the spec scores its basis vector divided element-wise by the inputs."""
+    return spec._form.over_inputs
+
+
+def weighs_two_alike(spec: PrincipleSpec) -> bool:
+    """Whether the spec weighs two agents alike: it sets no weights, or two equal ones.
+
+    Every statistic and welfare function is invariant, bit for bit, under
+    permuting its vector; only welfare weights tell agents apart. So where
+    this holds, swapping the two elements of a vector that a form reads
+    leaves its score unchanged.
+    """
+    w = spec.weights
+    return w is None or (len(w) == 2 and w[0] == w[1])
+
+
 def frontier_breakpoints(
     spec: PrincipleSpec, total: float, a: float, b: float, p: float, q: float
 ) -> list[float]:
@@ -126,8 +143,10 @@ def score(spec: PrincipleSpec, ctx: AllocationContext) -> PrincipleScore:
     form = spec._form
     b = form.basis
     v = ctx.outputs if b == BASIS_OUTPUT else ctx.utilities if b == BASIS_UTILITY else ctx.inputs
+    if form.over_inputs:
+        v = ratio_vector(v, ctx.inputs)
     try:
-        value = form.value(spec, v, ctx.inputs)
+        value = form.value(spec, v)
     except OverflowError:
         raise NonFiniteScoreError("arithmetic overflow") from None
     if not math.isfinite(value):
@@ -135,18 +154,18 @@ def score(spec: PrincipleSpec, ctx: AllocationContext) -> PrincipleScore:
     return PrincipleScore(value)
 
 
-def score_column(
-    spec: PrincipleSpec, vectors: Iterable[ValueVector], inputs: ValueVector
-) -> Iterator[float | None]:
-    """Score a stream of basis vectors that share one inputs vector.
+def score_column(spec: PrincipleSpec, vectors: Iterable[ValueVector]) -> Iterator[float | None]:
+    """Score a stream of vectors, each as the spec's form reads it.
 
-    Yields what ``score`` would return as the value for each vector, or None
-    where ``score`` would raise a domain error.
+    Each vector is the basis vector ``score`` would read, already divided by
+    the inputs where the spec is ``scored_over_inputs``. Yields what ``score``
+    would return as the value for each vector, or None where ``score`` would
+    raise a domain error.
     """
     value_of = spec._form.value
     for v in vectors:
         try:
-            value = value_of(spec, v, inputs)
+            value = value_of(spec, v)
         except (OverflowError, DomainError):
             value = None
         else:
@@ -159,12 +178,12 @@ def _negated(value: float) -> float:
     return 0.0 if value == 0.0 else -value
 
 
-def _dispersion(spec: PrincipleSpec, v: ValueVector, x: ValueVector) -> float:
+def _dispersion(spec: PrincipleSpec, v: ValueVector) -> float:
     return dispersion(spec.resolved_metric(), v)
 
 
-def _proportion(spec: PrincipleSpec, v: ValueVector, x: ValueVector) -> float:
-    return dispersion(spec.resolved_metric(), ratio_vector(v, x))
+def _negated_dispersion(spec: PrincipleSpec, v: ValueVector) -> float:
+    return _negated(_dispersion(spec, v))
 
 
 def _at_equal_value(
@@ -329,16 +348,23 @@ def _foster_peaks(total: float, a: float, b: float) -> list[float]:
 
 
 class _Form(NamedTuple):
-    """The one score a spec resolves to, and where it can turn on a frontier."""
+    """The one score a spec resolves to, and where it can turn on a frontier.
+
+    ``value`` reads one vector and nothing else: the basis vector, or, for a
+    form ``over_inputs``, the basis vector divided element-wise by the
+    inputs, which ``score`` builds once per context and ``heatmap`` once per
+    axis point.
+    """
 
     direction: str
-    # (spec, basis vector, inputs) -> score
-    value: Callable[[PrincipleSpec, ValueVector, ValueVector], float]
+    # (spec, the one vector read) -> score
+    value: Callable[[PrincipleSpec, ValueVector], float]
     basis: str = BASIS_OUTPUT  # the default basis; BASIS_INPUT is fixed
     # (spec, total w, basis factors a and b, inputs p and q) -> every split
     # where the score can turn on the frontier; see frontier_breakpoints.
     # The default suits a score linear or constant on the frontier.
     breakpoints: Callable[..., list[float]] = lambda spec, w, a, b, p, q: []
+    over_inputs: bool = False  # proportion's dispersion forms
 
 
 class _Scoring(NamedTuple):
@@ -354,33 +380,38 @@ class _Scoring(NamedTuple):
 
 
 _DIFFERENCE = _Scoring({
-    "rawlsian": _Form(MAXIMIZE, lambda spec, v, x: rawlsian(v), breakpoints=_at_equal_value),
-    "harsanyian": _Form(MAXIMIZE, lambda spec, v, x: mean(v)),
+    "rawlsian": _Form(MAXIMIZE, lambda spec, v: rawlsian(v), breakpoints=_at_equal_value),
+    "harsanyian": _Form(MAXIMIZE, lambda spec, v: mean(v)),
 })
-_GREATER_GOOD = _Scoring({None: _Form(MAXIMIZE, lambda spec, v, x: benthamite(v), BASIS_UTILITY)})
+_GREATER_GOOD = _Scoring({None: _Form(MAXIMIZE, lambda spec, v: benthamite(v), BASIS_UTILITY)})
 # What a diorthotic greater-good spec that sets rho or weights resolves to.
 _ISOELASTIC = _Form(
     MAXIMIZE,
-    lambda spec, v, x: isoelastic(v, spec.weights, 0.0 if spec.rho is None else spec.rho),
+    lambda spec, v: isoelastic(v, spec.weights, 0.0 if spec.rho is None else spec.rho),
     BASIS_UTILITY,
     _isoelastic_max,
 )
 # where the dispersion of the basis vector over the inputs is least
 _PROPORTION = _Form(
-    MINIMIZE, _proportion, breakpoints=lambda spec, w, a, b, p, q: _equal_value(w, a, b, p, q)
+    MINIMIZE,
+    _dispersion,
+    breakpoints=lambda spec, w, a, b, p, q: _equal_value(w, a, b, p, q),
+    over_inputs=True,
 )
 _SUFFICIENCY = _Scoring({None: _Form(
     MAXIMIZE,
-    lambda spec, v, x: threshold_share(v, spec.threshold),
+    lambda spec, v: threshold_share(v, spec.threshold),
     breakpoints=lambda spec, w, a, b, p, q: _threshold_crossings(w, spec.threshold, a, b),
 )}, threshold=True)
 
 # The one mapping of (principle, mode) to its forms and the spec parameters
 # they read; its keys name the principles. PrincipleSpec.__post_init__ alone
-# reads it: each spec is resolved to its one form when it is built. Forms
-# reach the dispersion and welfare functions through this module's globals
-# at call time, never through references captured here, so that patching a
-# module attribute (as instrumentation does) reaches every score.
+# reads it: each spec is resolved to its one form when it is built. No form's
+# value reads the inputs: proportion's dispersion forms declare over_inputs,
+# and their callers divide the basis vector by the inputs before scoring it.
+# Forms reach the dispersion and welfare functions through this module's
+# globals at call time, never through references captured here, so that
+# patching a module attribute (as instrumentation does) reaches every score.
 _SCORING = {
     ("difference", DIANEMETIC): _DIFFERENCE,
     ("difference", DIORTHOTIC): _DIFFERENCE,
@@ -390,28 +421,26 @@ _SCORING = {
     ("equality", DIORTHOTIC): _Scoring({
         "foster": _Form(
             MAXIMIZE,
-            lambda spec, v, x: foster(v),
+            lambda spec, v: foster(v),
             breakpoints=lambda spec, w, a, b, p, q: _foster_peaks(w, a, b),
         ),
         # sen is piecewise linear, with its kink at equal value
-        "sen": _Form(MAXIMIZE, lambda spec, v, x: sen(v), breakpoints=_at_equal_value),
+        "sen": _Form(MAXIMIZE, lambda spec, v: sen(v), breakpoints=_at_equal_value),
     }),
     ("equality_of_opportunity", DIANEMETIC): _Scoring(
         {None: _Form(MINIMIZE, _dispersion, BASIS_INPUT)}, metric=True
     ),
     ("equality_of_opportunity", DIORTHOTIC): _Scoring(
-        {None: _Form(MAXIMIZE, lambda spec, v, x: _negated(_dispersion(spec, v, x)), BASIS_INPUT)},
+        {None: _Form(MAXIMIZE, _negated_dispersion, BASIS_INPUT)},
         metric=True,
     ),
     ("greater_good", DIANEMETIC): _GREATER_GOOD,
     ("greater_good", DIORTHOTIC): _GREATER_GOOD._replace(welfare=True),
     ("proportion", DIANEMETIC): _Scoring({None: _PROPORTION}, metric=True),
     ("proportion", DIORTHOTIC): _Scoring({
-        "dispersion": _PROPORTION._replace(
-            direction=MAXIMIZE, value=lambda spec, v, x: _negated(_proportion(spec, v, x))
-        ),
+        "dispersion": _PROPORTION._replace(direction=MAXIMIZE, value=_negated_dispersion),
         # Free-transaction stance: every allocation is equally fair.
-        "noop": _Form(MAXIMIZE, lambda spec, v, x: 0.0),
+        "noop": _Form(MAXIMIZE, lambda spec, v: 0.0),
     }, metric=True),
     ("sufficiency", DIANEMETIC): _SUFFICIENCY,
     ("sufficiency", DIORTHOTIC): _SUFFICIENCY,

@@ -779,22 +779,35 @@ class TestHeatmap:
         st.tuples(*[st.sampled_from([0.0, 5e-324, 1.0, 8.0, 1e308, MAX_FLOAT])
                     | st.floats(0.0, 1e308)] * 2),
         st.tuples(*[st.sampled_from([5e-324, 1e-300, 1.0]) | st.floats(1e-3, 1.0)] * 2),
+        st.booleans(),
         st.sampled_from([1e-300, 7.0, 1e307, 2.9e307, 1e308, MAX_FLOAT])
         | st.floats(1e-3, 1e6),
         st.sampled_from(ACCEPTED_SHAPES),
         st.integers(1, 6),
         st.floats(0.0, 1.25),
-        st.none() | st.sampled_from([1.0, 1e-300, 1e308]),
+        st.none() | st.tuples(*[st.sampled_from([1.0, 1e-300, 1e308])] * 2),
     )
+    # equal agents whose ratios pass the float range from the fourth axis point on
+    @example((5e-324, 0.0), (1.0, 0.5), True, 2e-15, PrincipleSpec(principle="proportion"),
+             6, 0.0, None)
+    # equal agents with no input: every ratio is undefined
+    @example((0.0, 8.0), (0.5, 1.0), True, 7.0, PrincipleSpec(principle="proportion"),
+             3, 0.0, None)
+    # equal agents that unequal weights tell apart
+    @example((8.0, 12.0), (0.95, 0.85), True, 7.0,
+             PrincipleSpec(principle="greater_good", mode=DIORTHOTIC, rho=2.0), 5, 0.0, (1.0, 2.0))
     def test_every_cell_is_a_direct_score(
-        self, inputs, retention, total, spec, grid, threshold_share, weight
+        self, inputs, retention, equal_agents, total, spec, grid, threshold_share, weights
     ):
+        # equal agents (b copies a) make the square symmetric unless the weights differ
+        if equal_agents:
+            inputs, retention = (inputs[0],) * 2, (retention[0],) * 2
         agents = (Agent(id="a", input=inputs[0]), Agent(id="b", input=inputs[1]))
         problem = ContinuousProblem(agents=agents, total=total, retention=dict(zip("ab", retention)))
         if spec.threshold is not None:
             spec = dataclasses.replace(spec, threshold=min(threshold_share * total, MAX_FLOAT))
-        if weight is not None and spec.rho is not None:
-            spec = dataclasses.replace(spec, weights=(weight, weight))
+        if weights is not None and spec.rho is not None:
+            spec = dataclasses.replace(spec, weights=weights)
         # where i * total is past the float range, i / grid * total
         axis = [total if i == grid else i * total / grid for i in range(grid + 1)]
         axis = [y if math.isfinite(y) else i / grid * total for i, y in enumerate(axis)]
@@ -836,6 +849,11 @@ class TestHeatmap:
         for k, cell in enumerate(listed):
             flag = abs(cell.y_a + cell.y_b - total) <= band
             assert cell.on_frontier == cells.on_frontier(*divmod(k, size)) == flag
+        for row in range(size):
+            flagged = [col for col in range(size) if listed[row * size + col].on_frontier]
+            assert list(cells.frontier_columns(row)) == flagged
+        with pytest.raises(ValueError, match="the axis must ascend"):
+            Heatmap(cells.axis[::-1], cells.scores, cells.band)
 
     def test_the_csv_builds_no_cell(self, monkeypatch):
         built = []
@@ -852,6 +870,41 @@ class TestHeatmap:
         assert built == []
         # reading cells builds them, and the counter sees it
         assert len(heatmap(cfg.problem, cfg.specs[0], 1)[1:]) == len(built) == 3
+
+    @pytest.mark.parametrize("grid", [1, 2, 5])
+    def test_each_cell_is_scored_once_per_pair_where_the_agents_are_alike(
+        self, monkeypatch, grid
+    ):
+        calls = []
+        value = principles._Form.value  # the getter of the form's value field
+
+        def counted(form):
+            def run(*args):
+                calls.append(args)
+                return value.__get__(form)(*args)
+            return run
+
+        monkeypatch.setattr(principles._Form, "value", property(counted))
+        triangle, square = (grid + 1) * (grid + 2) // 2, (grid + 1) ** 2
+        agents = (Agent(id="a", input=2.0), Agent(id="b", input=2.0))
+        alike = ContinuousProblem(agents=agents, total=7.0, retention={"a": 0.5, "b": 0.5})
+        fishermen = fishermen_problem()  # its agents differ in input and retention
+        for shape in ACCEPTED_SHAPES:
+            for weights in [None, (3.0, 3.0), (1.0, 3.0)] if shape.rho is not None else [None]:
+                spec = dataclasses.replace(shape, weights=weights)
+                for problem in (alike, fishermen):
+                    over_inputs = spec.principle == "proportion" and spec.variant != "noop"
+                    basis = spec.resolved_basis()
+                    differ = problem is fishermen and (basis == "utility" or over_inputs)
+                    expected = (
+                        1 if basis == "input"
+                        else square if differ or weights == (1.0, 3.0)
+                        else triangle
+                    )
+                    calls.clear()
+                    cells = heatmap(problem, spec, grid)
+                    assert len(calls) == expected, (spec, problem)
+                    assert len(cells) == square
 
     def test_an_input_based_principle_is_scored_once(self, monkeypatch):
         calls = []

@@ -370,6 +370,37 @@ class TestProperties:
         assert type(value) is float and math.isfinite(value)
 
     @given(
+        st.sampled_from(ACCEPTED_SHAPES),
+        st.integers(min_value=2, max_value=4).flatmap(
+            lambda n: st.tuples(*[st.lists(EXTREME_VALUES, min_size=n, max_size=n)] * 2)
+        ),
+        st.sampled_from([5e-324, 1e-300, 1.0]) | st.floats(1e-3, 1.0),
+        st.none() | st.sampled_from([1.0, 1e-300, 1e308]),
+        st.data(),
+    )
+    def test_swapping_two_agents_it_cannot_tell_apart_keeps_the_score(
+        self, spec, columns, retention, weight, data
+    ):
+        # Agents i and j have equal input, equal retention and equal weights;
+        # swapping them leaves the score's bits, or its error, as they were.
+        x, y = (list(c) for c in columns)
+        i, j = data.draw(st.sampled_from(list(itertools.combinations(range(len(x)), 2))))
+        x[j] = x[i]
+        if weight is not None and spec.rho is not None:
+            spec = dataclasses.replace(spec, weights=(weight,) * len(x))
+        swapped = list(y)
+        swapped[i], swapped[j] = y[j], y[i]
+
+        def outcome(outputs):
+            ctx = _ctx(x, outputs, [retention * v for v in outputs])
+            try:
+                return score(spec, ctx).value.hex()
+            except DomainError as err:
+                return type(err), str(err)
+
+        assert outcome(swapped) == outcome(y)
+
+    @given(
         st.lists(
             st.lists(st.floats(min_value=0.05, max_value=5.0), min_size=2, max_size=2),
             min_size=2,
