@@ -22,14 +22,13 @@ from .core import Agent, AllocationContext, ValueVector, immutable
 from .errors import DomainError, NonFiniteScoreError, ScoringError
 from .principles import (
     BASIS_INPUT,
-    BASIS_UTILITY,
     MINIMIZE,
     PrincipleSpec,
     direction as principle_direction,
     frontier_breakpoints,
+    frontier_scales,
     score,
     score_column,
-    scored_over_inputs,
     weighs_two_alike,
 )
 
@@ -259,8 +258,7 @@ def optimize_frontier(
     no effect.
     """
     total = problem.total
-    factors = problem.retention_factors() if spec.resolved_basis() == BASIS_UTILITY else (1.0, 1.0)
-    turns = frontier_breakpoints(spec, total, *factors, *problem.inputs.values)
+    turns = frontier_breakpoints(spec, total, problem.retention_factors(), problem.inputs.values)
     points = sorted(t for t in {0.0, total, *turns} if 0.0 <= t <= total)
     shares = [ValueVector((t, total - t)) for t in points]
     values = [score(spec, _share_context(problem, v)).value for v in shares]
@@ -285,18 +283,19 @@ class Heatmap(Sequence):
     It holds the square as its ``axis``, the ``grid + 1`` shares ascending
     from 0 to total, and one score per cell in row-major order: the cell at ``row *
     len(axis) + col`` is the point ``(axis[row], axis[col])``, and its score
-    is ``None`` where the principle is undefined. ``band`` is total / grid,
-    the width of the frontier's band. A :class:`HeatmapCell` is built only
-    when a cell is read, by index, slice or iteration; a slice is a list.
+    is ``None`` where the principle is undefined. A :class:`HeatmapCell` is
+    built only when a cell is read, by index, slice or iteration; a slice is
+    a list.
     """
 
     axis: tuple[float, ...]
     scores: tuple[float | None, ...]
-    band: float
 
     def __post_init__(self):
         object.__setattr__(self, "axis", tuple(self.axis))
         object.__setattr__(self, "scores", tuple(self.scores))
+        if len(self.axis) < 2:
+            raise ValueError("the axis needs at least two points")  # its step is the band
         if len(self.scores) != len(self.axis) ** 2:
             raise ValueError(
                 f"{len(self.scores)} scores for {len(self.axis)} axis points, "
@@ -308,12 +307,14 @@ class Heatmap(Sequence):
     def frontier_columns(self, row: int) -> range:
         """The columns of ``row`` whose cells lie within one band of the frontier y_a + y_b = total.
 
-        A cell is on it where abs(y_a + y_b - total) <= band. Along a row that
+        A cell is on it where abs(y_a + y_b - total) <= band, the band being
+        one step of the axis, total / (len(axis) - 1). Along a row that
         difference never falls, as the axis ascends, so the columns are one
         run, and its two ends are found by bisection.
         """
-        axis, band = self.axis, self.band
+        axis = self.axis
         y_a, total = axis[row], axis[-1]
+        band = total / (len(axis) - 1)
 
         def gap(y_b: float) -> float:
             return y_a + y_b - total
@@ -352,13 +353,12 @@ def heatmap(problem: ContinuousProblem, spec: PrincipleSpec, grid: int) -> Heatm
 
     Off-frontier points are scored too, so contour plots can show welfare
     level sets crossing the frontier. Cells whose score raises a domain
-    error carry ``None`` instead of aborting the sweep. Each axis point is
-    prescaled once per agent to what the spec's form reads (times the
-    agent's retention on utilities, then over the agent's input where the
-    spec is scored over the inputs), and the cells are scored as one column
-    of the vectors built from the two prescaled axes. Where the two are
-    equal and the spec weighs both agents alike, the square is symmetric:
-    the upper triangle, diagonal included, is scored and mirrored. An
+    error carry ``None`` instead of aborting the sweep. Each axis point y is
+    prescaled once per agent to what the spec's form reads, a y / p and
+    b y / q (``frontier_scales``), and the cells are scored as one column of
+    the vectors built from the two prescaled axes. Where the two are equal
+    and the spec weighs both agents alike, the square is symmetric: the
+    upper triangle, diagonal included, is scored and mirrored. An
     input-based principle (equality of opportunity) is scored once.
     """
     if grid < 1:
@@ -369,26 +369,22 @@ def heatmap(problem: ContinuousProblem, spec: PrincipleSpec, grid: int) -> Heatm
     # where i * total is past the float range, divide first
     axis = [y if math.isfinite(y := i * total / grid) else i / grid * total for i in range(grid)]
     axis.append(total)
-    axis, band = tuple(axis), total / grid
-    basis = spec.resolved_basis()
-    if basis == BASIS_INPUT:
+    axis = tuple(axis)
+    if spec.resolved_basis() == BASIS_INPUT:
         (value,) = score_column(spec, (problem.inputs,))
-        return Heatmap(axis, (value,) * cells, band)
-    factors = problem.retention_factors() if basis == BASIS_UTILITY else (1.0, 1.0)
-    axis_a, axis_b = ([r * y for y in axis] for r in factors)
-    if scored_over_inputs(spec):
-        if 0.0 in problem.inputs.values:  # every ratio is undefined
-            return Heatmap(axis, (None,) * cells, band)
-        p, q = problem.inputs.values
-        axis_a, axis_b = [y / p for y in axis_a], [y / q for y in axis_b]
+        return Heatmap(axis, (value,) * cells)
+    a, b, p, q = frontier_scales(spec, problem.retention_factors(), problem.inputs.values)
+    if 0.0 in (p, q):  # every ratio is undefined
+        return Heatmap(axis, (None,) * cells)
+    axis_a, axis_b = [a * y / p for y in axis], [b * y / q for y in axis]
     # A ratio past the float range is inf, and undefined; the axes ascend,
     # so only rows and columns from the first such point on are affected.
     rows, cols = bisect.bisect_left(axis_a, math.inf), bisect.bisect_left(axis_b, math.inf)
     mirror = axis_a == axis_b and weighs_two_alike(spec)
     column = score_column(spec, (
-        ValueVector((a, b))
-        for row, a in enumerate(axis_a[:rows])
-        for b in axis_b[row if mirror else 0:cols]
+        ValueVector((s, t))
+        for row, s in enumerate(axis_a[:rows])
+        for t in axis_b[row if mirror else 0:cols]
     ))
     n = grid + 1
     scores = [None] * cells
@@ -398,7 +394,7 @@ def heatmap(problem: ContinuousProblem, spec: PrincipleSpec, grid: int) -> Heatm
         scores[k + first:k + cols] = itertools.islice(column, cols - first)
         if mirror:  # the scores right of the diagonal go below it, down column row
             scores[k + n + row:cols * n:n] = scores[k + row + 1:k + cols]
-    return Heatmap(axis, scores, band)
+    return Heatmap(axis, scores)
 
 
 def rank_scores(values: Sequence[float], direction: str) -> list[int]:

@@ -24,7 +24,7 @@ from .allocation import Heatmap, RankingTable, continuous_ranking, discrete_rank
 from .config import ProblemConfig, load_config
 from .core import ValueVector
 from .dispersion import DispersionMetric, dispersion
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NonFiniteScoreError
 from .presets import load_preset, preset_names
 
 EXIT_OK = 0
@@ -119,13 +119,13 @@ def cmd_metrics(args) -> None:
         vector = ValueVector(values)
         metrics = [DispersionMetric.parse(name) for name in names]
         rows = [(str(metric), dispersion(metric, vector)) for metric in metrics]
+        for _, value in rows:
+            if not math.isfinite(value):
+                raise NonFiniteScoreError(f"non-finite value {value!r}")
     except ValueError as err:
         raise ConfigError(str(err)) from None
     except DomainError as err:  # a literal value list is input, not a candidate
         raise ConfigError(f"{err.name}: {err}") from None
-    for _, value in rows:
-        if not math.isfinite(value):
-            raise ConfigError(f"NonFiniteScore: non-finite value {value!r}")
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         print(f"{name:<{width}}  {_fmt(value)}")

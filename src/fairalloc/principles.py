@@ -104,11 +104,6 @@ def direction(spec: PrincipleSpec) -> str:
     return spec._form.direction
 
 
-def scored_over_inputs(spec: PrincipleSpec) -> bool:
-    """Whether the spec scores its basis vector divided element-wise by the inputs."""
-    return spec._form.over_inputs
-
-
 def weighs_two_alike(spec: PrincipleSpec) -> bool:
     """Whether the spec weighs two agents alike: it sets no weights, or two equal ones.
 
@@ -121,18 +116,32 @@ def weighs_two_alike(spec: PrincipleSpec) -> bool:
     return w is None or (len(w) == 2 and w[0] == w[1])
 
 
+def frontier_scales(
+    spec: PrincipleSpec, retention: tuple[float, ...], inputs: tuple[float, ...]
+) -> tuple[float, float, float, float]:
+    """(a, b, p, q): the spec's form reads two agents' shares (s, t) as (a s / p, b t / q).
+
+    a and b are the agents' retention factors where the spec is scored on
+    utilities, and 1 otherwise; p and q are their inputs where the form reads
+    its basis vector over the inputs, and 1 otherwise.
+    """
+    form = spec._form
+    a, b = retention if form.basis == BASIS_UTILITY else (1.0, 1.0)
+    p, q = inputs if form.over_inputs else (1.0, 1.0)
+    return a, b, p, q
+
+
 def frontier_breakpoints(
-    spec: PrincipleSpec, total: float, a: float, b: float, p: float, q: float
+    spec: PrincipleSpec, total: float, retention: tuple[float, ...], inputs: tuple[float, ...]
 ) -> list[float]:
     """Every split t of a two-agent frontier (t, total - t) where the score can turn.
 
-    a and b multiply the agents' shares on the spec's basis: the retention
-    factors on utilities, 1 otherwise; p and q are the agents' inputs. With
-    the ends added, the score is monotone between neighbouring breakpoints,
-    so a form that declares none (a linear or constant score) turns only at
-    the ends.
+    retention and inputs are the two agents', read as ``frontier_scales``
+    says. With the ends added, the score is monotone between neighbouring
+    breakpoints, so a form that declares none (a linear or constant score)
+    turns only at the ends.
     """
-    return spec._form.breakpoints(spec, total, a, b, p, q)
+    return spec._form.breakpoints(spec, total, *frontier_scales(spec, retention, inputs))
 
 
 def score(spec: PrincipleSpec, ctx: AllocationContext) -> PrincipleScore:
@@ -158,9 +167,9 @@ def score_column(spec: PrincipleSpec, vectors: Iterable[ValueVector]) -> Iterato
     """Score a stream of vectors, each as the spec's form reads it.
 
     Each vector is the basis vector ``score`` would read, already divided by
-    the inputs where the spec is ``scored_over_inputs``. Yields what ``score``
-    would return as the value for each vector, or None where ``score`` would
-    raise a domain error.
+    the inputs where the form reads it over them (``frontier_scales`` gives
+    the inputs as p and q). Yields what ``score`` would return as the value
+    for each vector, or None where ``score`` would raise a domain error.
     """
     value_of = spec._form.value
     for v in vectors:
@@ -189,8 +198,8 @@ def _negated_dispersion(spec: PrincipleSpec, v: ValueVector) -> float:
 def _at_equal_value(
     spec: PrincipleSpec, w: float, a: float, b: float, p: float, q: float
 ) -> list[float]:
-    # the one turn of a score whose extremum or kink is at equal value on the basis
-    return _equal_value(w, a, b)
+    # the one turn of a score whose extremum or kink is at equal value as its form reads it
+    return _equal_value(w, a, b, p, q)
 
 
 def _edge(holds: Callable[[float], bool], inside: float, outside: float) -> float:
@@ -360,8 +369,8 @@ class _Form(NamedTuple):
     # (spec, the one vector read) -> score
     value: Callable[[PrincipleSpec, ValueVector], float]
     basis: str = BASIS_OUTPUT  # the default basis; BASIS_INPUT is fixed
-    # (spec, total w, basis factors a and b, inputs p and q) -> every split
-    # where the score can turn on the frontier; see frontier_breakpoints.
+    # (spec, total w, the scales a, b, p and q of frontier_scales) -> every
+    # split where the score can turn on the frontier; see frontier_breakpoints.
     # The default suits a score linear or constant on the frontier.
     breakpoints: Callable[..., list[float]] = lambda spec, w, a, b, p, q: []
     over_inputs: bool = False  # proportion's dispersion forms
@@ -392,12 +401,7 @@ _ISOELASTIC = _Form(
     _isoelastic_max,
 )
 # where the dispersion of the basis vector over the inputs is least
-_PROPORTION = _Form(
-    MINIMIZE,
-    _dispersion,
-    breakpoints=lambda spec, w, a, b, p, q: _equal_value(w, a, b, p, q),
-    over_inputs=True,
-)
+_PROPORTION = _Form(MINIMIZE, _dispersion, breakpoints=_at_equal_value, over_inputs=True)
 _SUFFICIENCY = _Scoring({None: _Form(
     MAXIMIZE,
     lambda spec, v: threshold_share(v, spec.threshold),

@@ -560,8 +560,7 @@ class TestOptimizeFrontier:
             except DomainError:
                 continue
             # 0, 7 and the row's own breakpoints, each scored once in ascending t
-            factors = (0.95, 0.85) if spec.resolved_basis() == "utility" else (1.0, 1.0)
-            declared = principles.frontier_breakpoints(spec, 7.0, *factors, 8.0, 12.0)
+            declared = principles.frontier_breakpoints(spec, 7.0, (0.95, 0.85), (8.0, 12.0))
             ts = [t for _, t in calls]
             assert ts == sorted({0.0, 7.0, *declared}) and len(ts) <= 4, spec
         equal_utilities, peak = 7 * 0.85 / (0.95 + 0.85), 3.5004028253210286
@@ -853,7 +852,9 @@ class TestHeatmap:
             flagged = [col for col in range(size) if listed[row * size + col].on_frontier]
             assert list(cells.frontier_columns(row)) == flagged
         with pytest.raises(ValueError, match="the axis must ascend"):
-            Heatmap(cells.axis[::-1], cells.scores, cells.band)
+            Heatmap(cells.axis[::-1], cells.scores)
+        with pytest.raises(ValueError, match="the axis needs at least two points"):
+            Heatmap(cells.axis[:1], cells.scores[:1])
 
     def test_the_csv_builds_no_cell(self, monkeypatch):
         built = []

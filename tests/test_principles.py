@@ -210,8 +210,8 @@ class TestScoringTable:
             assert twin == spec and hash(twin) == hash(spec)
             assert direction(twin) == direction(spec)
             assert twin.resolved_basis() == spec.resolved_basis()
-            assert (frontier_breakpoints(twin, 7.0, 0.95, 0.85, 8.0, 12.0)
-                    == frontier_breakpoints(spec, 7.0, 0.95, 0.85, 8.0, 12.0))
+            assert (frontier_breakpoints(twin, 7.0, (0.95, 0.85), (8.0, 12.0))
+                    == frontier_breakpoints(spec, 7.0, (0.95, 0.85), (8.0, 12.0)))
             assert score(twin, SCENARIO4_CTX).value == expected
         # replace builds through the constructor, so the new spec resolves again
         if (principle, variant) == ("difference", "rawlsian"):
