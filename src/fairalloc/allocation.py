@@ -10,7 +10,6 @@ per principle, and the rankings are combined with a weighted Borda count.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 import operator
@@ -285,11 +284,12 @@ class Heatmap(Sequence):
     len(axis) + col`` is the point ``(axis[row], axis[col])``, and its score
     is ``None`` where the principle is undefined. A :class:`HeatmapCell` is
     built only when a cell is read, by index, slice or iteration; a slice is
-    a list.
+    a list. Each row's ``frontier_columns`` are derived once, when the map is built.
     """
 
     axis: tuple[float, ...]
     scores: tuple[float | None, ...]
+    _runs: tuple[range, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "axis", tuple(self.axis))
@@ -302,7 +302,17 @@ class Heatmap(Sequence):
                 f"expected {len(self.axis) ** 2}"
             )
         if any(map(operator.gt, self.axis, self.axis[1:])):
-            raise ValueError("the axis must ascend")  # frontier_columns bisects it
+            raise ValueError("the axis must ascend")  # each run is found by bisection
+        axis, total = self.axis, self.axis[-1]
+        band = total / (len(axis) - 1)
+
+        def run(y_a: float) -> range:
+            def gap(y_b: float) -> float:
+                return y_a + y_b - total
+            start = bisect.bisect_left(axis, -band, key=gap)
+            return range(start, bisect.bisect_right(axis, band, start, key=gap))
+
+        object.__setattr__(self, "_runs", tuple(map(run, axis)))
 
     def frontier_columns(self, row: int) -> range:
         """The columns of ``row`` whose cells lie within one band of the frontier y_a + y_b = total.
@@ -310,26 +320,13 @@ class Heatmap(Sequence):
         A cell is on it where abs(y_a + y_b - total) <= band, the band being
         one step of the axis, total / (len(axis) - 1). Along a row that
         difference never falls, as the axis ascends, so the columns are one
-        run, and its two ends are found by bisection.
+        run, and its two ends are found by bisection when the map is built.
         """
-        axis = self.axis
-        y_a, total = axis[row], axis[-1]
-        band = total / (len(axis) - 1)
-
-        def gap(y_b: float) -> float:
-            return y_a + y_b - total
-
-        start = bisect.bisect_left(axis, -band, key=gap)
-        return range(start, bisect.bisect_right(axis, band, start, key=gap))
-
-    @functools.cached_property
-    def _frontier_runs(self) -> tuple[range, ...]:
-        # every row's frontier_columns, taken on the first cell read
-        return tuple(map(self.frontier_columns, range(len(self.axis))))
+        return self._runs[row]
 
     def on_frontier(self, row: int, col: int) -> bool:
         """Whether the cell lies within one band of the frontier; see ``frontier_columns``."""
-        return col in self._frontier_runs[row]
+        return col in self._runs[row]
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -344,7 +341,7 @@ class Heatmap(Sequence):
     def _cell(self, k: int) -> HeatmapCell:
         row, col = divmod(k, len(self.axis))
         return HeatmapCell(
-            self.axis[row], self.axis[col], self.scores[k], self.on_frontier(row, col)
+            self.axis[row], self.axis[col], self.scores[k], col in self._runs[row]
         )
 
 
@@ -469,15 +466,17 @@ def build_ranking(
 ) -> RankingTable:
     """Score every candidate under every principle and rank them.
 
-    ``candidates`` labels ``contexts`` one to one; the labels must be unique.
+    ``candidates`` labels ``contexts`` one to one, and ``principle_labels``
+    labels ``specs``; the candidate labels must be unique.
     An input-based principle (equality of opportunity) reads ``ctx.inputs``
     alone, so it is scored again only where a context's inputs are not the
     previous context's object; the contexts of one problem share theirs.
     """
-    if len(candidates) != len(contexts):
-        raise ValueError(
-            f"{len(contexts)} candidates need {len(contexts)} labels, got {len(candidates)}"
-        )
+    for what, values, labels in (
+        ("candidates", contexts, candidates), ("principles", specs, principle_labels)
+    ):
+        if len(labels) != len(values):
+            raise ValueError(f"{len(values)} {what} need {len(values)} labels, got {len(labels)}")
     if len(set(candidates)) != len(candidates):
         raise ValueError("candidate labels must be unique")
     scores: list[tuple[float, ...]] = []

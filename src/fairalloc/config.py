@@ -31,7 +31,6 @@ class ProblemConfig:
     """A parsed configuration: the problem plus labelled principle specs."""
 
     problem: DiscreteProblem | ContinuousProblem
-    principle_labels: tuple[str, ...]
     specs: tuple[PrincipleSpec, ...]
     weights: tuple[float, ...]
     candidate_labels: tuple[str, ...] | None = None
@@ -39,6 +38,10 @@ class ProblemConfig:
     @property
     def kind(self) -> str:
         return "discrete" if isinstance(self.problem, DiscreteProblem) else "continuous"
+
+    @property
+    def principle_labels(self) -> tuple[str, ...]:
+        return tuple(spec.principle for spec in self.specs)
 
 
 def _fail(path: str, message: str) -> ConfigError:
@@ -227,7 +230,6 @@ def parse_config(data: Any) -> ProblemConfig:
             ContinuousProblem, "$", agents=agents, total=doc["total"], retention=doc["retention"]
         )
     specs = _specs(doc["principles"], len(agents))
-    labels = tuple(spec.principle for spec in specs)
     candidate_labels = doc.get("labels")  # discrete documents only
     if candidate_labels is not None:
         expected = len(agents) ** len(problem.pieces)
@@ -237,9 +239,8 @@ def parse_config(data: Any) -> ProblemConfig:
             raise _fail("$.labels", "labels must be unique")
     return ProblemConfig(
         problem=problem,
-        principle_labels=labels,
         specs=specs,
-        weights=_aggregation_weights(doc["aggregation"], labels),
+        weights=_aggregation_weights(doc["aggregation"], tuple(s.principle for s in specs)),
         candidate_labels=candidate_labels,
     )
 

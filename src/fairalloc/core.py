@@ -28,19 +28,17 @@ def _rebuild_through_init(value) -> tuple:
     return type(value), tuple(dict(a) if isinstance(a, MappingProxyType) else a for a in args)
 
 
-def immutable(cls=None, /, *, slots: bool = False):
-    """Declare an immutable value: a frozen dataclass, with ``__slots__`` if ``slots``.
+def immutable(cls):
+    """Declare an immutable value: a slotted frozen dataclass, with no ``__dict__`` or weakref.
 
-    Copy, deepcopy and pickle rebuild it through its constructor, which checks it again.
+    Copy, deepcopy and pickle rebuild it through its constructor, which checks and derives it again.
     """
-    if cls is None:
-        return functools.partial(immutable, slots=slots)
-    cls = dataclass(frozen=True, slots=slots)(cls)
+    cls = dataclass(frozen=True, slots=True)(cls)
     cls.__reduce__ = _rebuild_through_init
     return cls
 
 
-@immutable(slots=True)
+@immutable
 class ValueVector:
     """Immutable vector of nonnegative, finite per-individual values.
 

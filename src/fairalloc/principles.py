@@ -242,13 +242,18 @@ def _equal_value(total: float, a: float, b: float, p: float = 1.0, q: float = 1.
     """The split t where a t / p == b (total - t) / q, or none where no t is.
 
     In the form that is exact on round inputs; where that overflows, the
-    quotient is divided first.
+    quotient is divided first, and it is exact where that underflows to 0 / 0.
     """
     if (den := a * q + b * p) <= 0.0:
         return []
     t = total * b * p / den
     if math.isinf(den) or not math.isfinite(t):
-        t = total * (0.5 * b * p / (0.5 * a * q + 0.5 * b * p))
+        try:
+            t = total * (0.5 * b * p / (0.5 * a * q + 0.5 * b * p))
+        except ZeroDivisionError:
+            from fractions import Fraction  # here, not at the top: it loads decimal
+            bp = Fraction(b) * Fraction(p)
+            t = float(Fraction(total) * bp / (Fraction(a) * Fraction(q) + bp))
     return [t]
 
 

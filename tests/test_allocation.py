@@ -3,6 +3,7 @@ import itertools
 import math
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -484,6 +485,20 @@ class TestOptimizeFrontier:
             shares, value = optimize_frontier(problem, spec)
             assert value <= 4 * EPS
             assert shares[0] / 800.0 == pytest.approx(shares[1] / 1200.0, rel=4 * EPS)
+
+    def test_equal_value_whose_halved_quotient_underflows_is_exact(self):
+        # total * b * p / den overflows, and each halved term of the fallback
+        # underflows to 0; the crossing is then the exact quotient
+        inputs = (1.0098284052755533, 0.0504150618905204)
+        (t,) = principles._equal_value(MAX_FLOAT, 5e-324, 5e-324, *inputs)
+        p, q = map(Fraction, inputs)
+        assert t == float(Fraction(MAX_FLOAT) * p / (p + q))
+        assert 0.0 <= t <= MAX_FLOAT
+        agents = (Agent(id="a", input=inputs[0]), Agent(id="b", input=inputs[1]))
+        retention = {"a": 5e-324, "b": 5e-324}
+        problem = ContinuousProblem(agents=agents, total=MAX_FLOAT, retention=retention)
+        shares, _ = optimize_frontier(problem, PrincipleSpec("proportion", basis="utility"))
+        assert shares[0] == t
 
     def test_isoelastic_optimum_is_its_closed_form(self):
         agents = (Agent(id="a", input=1.0), Agent(id="b", input=3.0))
@@ -981,6 +996,16 @@ class TestRanking:
         with pytest.raises(ValueError) as err:
             build_ranking(labels, contexts, *rest)
         assert str(err.value) == "candidate labels must be unique"
+
+    def test_labels_match_principles_one_to_one(self):
+        for cfg, ranking in (
+            (load_preset("cake"), discrete_ranking), (load_preset("fishermen"), continuous_ranking)
+        ):
+            n = len(cfg.specs)
+            for labels in (cfg.principle_labels + ("ghost",), cfg.principle_labels[:-1]):
+                with pytest.raises(ValueError) as err:
+                    ranking(cfg.problem, labels, cfg.specs, cfg.weights)
+                assert str(err.value) == f"{n} principles need {n} labels, got {len(labels)}"
 
     def test_an_input_based_principle_is_scored_once_per_inputs_vector(self, monkeypatch):
         calls = _count_scores(monkeypatch)

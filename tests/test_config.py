@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import re
+import weakref
 
 import pytest
 
@@ -16,7 +17,9 @@ from fairalloc import (
     DiscreteProblem,
     DispersionMetric,
     DomainError,
+    Heatmap,
     NonFiniteScoreError,
+    ProblemConfig,
     ScoringError,
     ValueVector,
     WeightMismatchError,
@@ -331,6 +334,41 @@ def _ranking(cfg):
     return continuous_ranking(*args)
 
 
+def _exported_samples():
+    # what a process pool sends back and forth: a sample of each exported
+    # class, taken from both presets' pipelines where the class occurs there
+    values, errors = [], []
+    for name in ("cake", "fishermen"):
+        cfg = load_preset(name)
+        table = _ranking(cfg)
+        problem, ctx = cfg.problem, table.contexts[0]
+        values += [cfg, problem, *problem.agents, table, ctx, ctx.outputs]
+        for spec in cfg.specs:
+            values += [spec, spec.resolved_metric(), score(spec, ctx)]
+        if cfg.kind == "discrete":
+            values += [*problem.pieces, enumerate_discrete(problem)[1]]
+        else:
+            cells = heatmap(problem, cfg.specs[0], 3)
+            values += [cells, *cells[:2]]
+        doc = get_preset(name)
+        doc["agents"][0]["input"] = 0.0  # proportion divides by each input
+        with pytest.raises(ScoringError) as err:
+            _ranking(parse_config(doc))
+        errors.append(err.value)
+    with pytest.raises(ConfigError) as err:
+        parse_config({**get_preset("cake"), "kind": "nope"})
+    errors.append(err.value)
+    errors += [
+        cls(f"a {cls.__name__}")
+        for cls in (
+            DomainError, ZeroSumError, ZeroMeanError, ZeroElementError, ZeroInputError,
+            ZeroBottomShareError, DegeneratePopulationError, WeightMismatchError,
+            NonFiniteScoreError,
+        )
+    ]
+    return values, errors
+
+
 class TestLoadConfig:
     @pytest.mark.parametrize("name", ["cake", "fishermen"])
     def test_preset_copies_and_pickles_to_an_equal_config(self, name):
@@ -342,37 +380,7 @@ class TestLoadConfig:
             assert _ranking(twin) == table
 
     def test_every_exported_value_and_error_copies_and_pickles(self):
-        # what a process pool sends back and forth: a sample of each exported
-        # class, taken from both presets' pipelines where the class occurs there
-        values, errors = [], []
-        for name in ("cake", "fishermen"):
-            cfg = load_preset(name)
-            table = _ranking(cfg)
-            problem, ctx = cfg.problem, table.contexts[0]
-            values += [cfg, problem, *problem.agents, table, ctx, ctx.outputs]
-            for spec in cfg.specs:
-                values += [spec, spec.resolved_metric(), score(spec, ctx)]
-            if cfg.kind == "discrete":
-                values += [*problem.pieces, enumerate_discrete(problem)[1]]
-            else:
-                cells = heatmap(problem, cfg.specs[0], 3)
-                values += [cells, *cells[:2]]
-            doc = get_preset(name)
-            doc["agents"][0]["input"] = 0.0  # proportion divides by each input
-            with pytest.raises(ScoringError) as err:
-                _ranking(parse_config(doc))
-            errors.append(err.value)
-        with pytest.raises(ConfigError) as err:
-            parse_config({**get_preset("cake"), "kind": "nope"})
-        errors.append(err.value)
-        errors += [
-            cls(f"a {cls.__name__}")
-            for cls in (
-                DomainError, ZeroSumError, ZeroMeanError, ZeroElementError, ZeroInputError,
-                ZeroBottomShareError, DegeneratePopulationError, WeightMismatchError,
-                NonFiniteScoreError,
-            )
-        ]
+        values, errors = _exported_samples()
         exported = {obj for obj in vars(fairalloc).values() if isinstance(obj, type)}
         assert {type(sample) for sample in values + errors} == exported
         assert len(exported) == 25
@@ -381,12 +389,29 @@ class TestLoadConfig:
             for value in values:
                 twin = rebuild(value)
                 assert type(twin) is type(value) and twin == value
+                # what the constructor derives, and equality does not compare
+                if isinstance(value, Heatmap):
+                    rows = range(len(value.axis))
+                    assert list(map(twin.frontier_columns, rows)) == list(
+                        map(value.frontier_columns, rows)
+                    )
+                if isinstance(value, ProblemConfig):
+                    assert twin.principle_labels == value.principle_labels
             for error in errors:
                 twin = rebuild(error)
                 assert type(twin) is type(error) and str(twin) == str(error)
                 if isinstance(error, ScoringError):
                     assert (twin.principle, twin.candidate) == (error.principle, error.candidate)
                     assert twin.cause.name == error.cause.name == "ZeroInput"
+
+    def test_every_exported_value_is_slotted(self):
+        # one shape for every value: no instance dict, and no weak references
+        values, _ = _exported_samples()
+        for value in values:
+            assert "__slots__" in vars(type(value)), type(value)
+            assert not hasattr(value, "__dict__"), type(value)
+            with pytest.raises(TypeError):
+                weakref.ref(value)
 
     def test_a_tampered_value_is_refused_on_copy(self):
         # copy, deepcopy and pickle rebuild a value through its constructor, so a
