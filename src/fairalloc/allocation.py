@@ -27,7 +27,7 @@ from .principles import (
     frontier_breakpoints,
     frontier_scales,
     score,
-    score_column,
+    score_pairs,
     weighs_two_alike,
 )
 
@@ -324,10 +324,6 @@ class Heatmap(Sequence):
         """
         return self._runs[row]
 
-    def on_frontier(self, row: int, col: int) -> bool:
-        """Whether the cell lies within one band of the frontier; see ``frontier_columns``."""
-        return col in self._runs[row]
-
     def __len__(self) -> int:
         return len(self.scores)
 
@@ -352,11 +348,11 @@ def heatmap(problem: ContinuousProblem, spec: PrincipleSpec, grid: int) -> Heatm
     level sets crossing the frontier. Cells whose score raises a domain
     error carry ``None`` instead of aborting the sweep. Each axis point y is
     prescaled once per agent to what the spec's form reads, a y / p and
-    b y / q (``frontier_scales``), and the cells are scored as one column of
-    the vectors built from the two prescaled axes. Where the two are equal
-    and the spec weighs both agents alike, the square is symmetric: the
-    upper triangle, diagonal included, is scored and mirrored. An
-    input-based principle (equality of opportunity) is scored once.
+    b y / q (``frontier_scales``), and each row is scored by ``score_pairs``
+    on the pairs of the two prescaled axes. Where the two are equal and the
+    spec weighs both agents alike, the square is symmetric: the upper
+    triangle, diagonal included, is scored and mirrored. An input-based
+    principle (equality of opportunity) is scored once.
     """
     if grid < 1:
         raise ValueError("grid must be >= 1")
@@ -368,7 +364,8 @@ def heatmap(problem: ContinuousProblem, spec: PrincipleSpec, grid: int) -> Heatm
     axis.append(total)
     axis = tuple(axis)
     if spec.resolved_basis() == BASIS_INPUT:
-        (value,) = score_column(spec, (problem.inputs,))
+        x_a, x_b = problem.inputs.values
+        (value,) = score_pairs(spec, x_a, (x_b,))
         return Heatmap(axis, (value,) * cells)
     a, b, p, q = frontier_scales(spec, problem.retention_factors(), problem.inputs.values)
     if 0.0 in (p, q):  # every ratio is undefined
@@ -378,17 +375,12 @@ def heatmap(problem: ContinuousProblem, spec: PrincipleSpec, grid: int) -> Heatm
     # so only rows and columns from the first such point on are affected.
     rows, cols = bisect.bisect_left(axis_a, math.inf), bisect.bisect_left(axis_b, math.inf)
     mirror = axis_a == axis_b and weighs_two_alike(spec)
-    column = score_column(spec, (
-        ValueVector((s, t))
-        for row, s in enumerate(axis_a[:rows])
-        for t in axis_b[row if mirror else 0:cols]
-    ))
     n = grid + 1
     scores = [None] * cells
-    for row in range(rows):
+    for row, s in enumerate(axis_a[:rows]):
         first = row if mirror else 0
         k = row * n
-        scores[k + first:k + cols] = itertools.islice(column, cols - first)
+        scores[k + first:k + cols] = score_pairs(spec, s, axis_b[first:cols])
         if mirror:  # the scores right of the diagonal go below it, down column row
             scores[k + n + row:cols * n:n] = scores[k + row + 1:k + cols]
     return Heatmap(axis, scores)
@@ -457,6 +449,12 @@ class RankingTable:
         return sorted(range(len(self.candidates)), key=lambda c: self.combined[c])
 
 
+def _labelled(what: str, values: Sequence, labels: Sequence[str]) -> None:
+    """Refuse labels that do not match ``values`` one to one."""
+    if len(labels) != len(values):
+        raise ValueError(f"{len(values)} {what} need {len(values)} labels, got {len(labels)}")
+
+
 def build_ranking(
     candidates: Sequence[str],
     contexts: Sequence[AllocationContext],
@@ -467,16 +465,13 @@ def build_ranking(
     """Score every candidate under every principle and rank them.
 
     ``candidates`` labels ``contexts`` one to one, and ``principle_labels``
-    labels ``specs``; the candidate labels must be unique.
+    labels ``specs`` (``_labelled``); the candidate labels must be unique.
     An input-based principle (equality of opportunity) reads ``ctx.inputs``
     alone, so it is scored again only where a context's inputs are not the
     previous context's object; the contexts of one problem share theirs.
     """
-    for what, values, labels in (
-        ("candidates", contexts, candidates), ("principles", specs, principle_labels)
-    ):
-        if len(labels) != len(values):
-            raise ValueError(f"{len(values)} {what} need {len(values)} labels, got {len(labels)}")
+    _labelled("candidates", contexts, candidates)
+    _labelled("principles", specs, principle_labels)
     if len(set(candidates)) != len(candidates):
         raise ValueError("candidate labels must be unique")
     scores: list[tuple[float, ...]] = []
@@ -540,8 +535,11 @@ def continuous_ranking(
     Each principle proposes its optimal split; the distinct splits form the
     candidate set, which is then scored under every principle. Each
     candidate is labelled ``t=`` and its split in the fewest significant
-    digits, 9 to 17, that tell every candidate of the ranking apart.
+    digits, 9 to 17, that tell every candidate of the ranking apart. Labels
+    that do not match the specs one to one are refused before any split is
+    optimized.
     """
+    _labelled("principles", specs, principle_labels)
     optima: list[float] = []
     for label, spec in zip(principle_labels, specs):
         try:

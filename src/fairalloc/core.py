@@ -4,6 +4,15 @@ A decision process maps each individual's input ``x_i`` (initial situation)
 to an output ``y_i`` (allocated resource) and a utility ``u_i = f(y_i)``.
 All three live in :class:`ValueVector`; one candidate allocation over one
 population is an :class:`AllocationContext`.
+
+A statistic whose two-agent heatmap perfbench measures also has a pair kernel,
+``(s, t) -> float``, beside its vector form: on two floats that are finite
+and >= 0 it does the vector form's float operations on ``ValueVector((s,
+t))`` in the same order. For two values ``math.fsum`` and one float ``+``
+both round the exact sum once, so a finite result has the vector form's
+bits. Where the vector form would refuse the pair or rescale it, the kernel
+returns inf or NaN instead (it never raises), and its caller scores that
+pair through the vector form.
 """
 
 from __future__ import annotations
@@ -13,9 +22,11 @@ import math
 import operator
 from dataclasses import dataclass, field, fields
 from types import MappingProxyType
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import NonFiniteScoreError, ZeroInputError
+
+Pair = Callable[[float, float], float]  # a pair kernel
 
 
 def _rebuild_through_init(value) -> tuple:

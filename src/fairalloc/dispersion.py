@@ -23,7 +23,17 @@ import re
 from itertools import repeat
 from typing import Sequence
 
-from .core import LONG, ValueVector, immutable, kept, kept_order, kept_sum, mean, overflow_safe
+from .core import (
+    LONG,
+    Pair,
+    ValueVector,
+    immutable,
+    kept,
+    kept_order,
+    kept_sum,
+    mean,
+    overflow_safe,
+)
 from .errors import (
     DegeneratePopulationError,
     ZeroBottomShareError,
@@ -140,6 +150,14 @@ def atkinson(v: ValueVector, epsilon: float) -> float:
     return max(0.0, 1.0 - _power_mean(v.values, 1.0 - epsilon) / m)
 
 
+def atkinson_log_pair(s: float, t: float) -> float:
+    """The pair kernel of :func:`atkinson` at epsilon 1, the geometric mean's."""
+    m = (s + t) / 2
+    if not m < math.inf or s == 0.0 or t == 0.0:
+        return math.nan
+    return max(0.0, 1.0 - math.exp((math.log(s) + math.log(t)) / 2) / m)
+
+
 @overflow_safe(0)
 def herfindahl_normalized(v: ValueVector) -> float:
     """Normalized Herfindahl index: (HH - 1/n) / (1 - 1/n), HH = sum of share^2."""
@@ -228,11 +246,24 @@ def theil_l(v: ValueVector) -> float:
     return max(0.0, acc / len(v.values))
 
 
+def theil_l_pair(s: float, t: float) -> float:
+    """The pair kernel of :func:`theil_l`; inf where the sum, m / s or m / t overflows."""
+    if s == 0.0 or t == 0.0:
+        return math.nan
+    m = (s + t) / 2
+    return max(0.0, (math.log(m / s) + math.log(m / t)) / 2)
+
+
 def dispersion(metric: DispersionMetric, v: ValueVector) -> float:
     """Evaluate the metric selected by ``metric.kind`` on ``v``."""
     if metric.kind == "atkinson":
         return atkinson(v, metric.epsilon)
     return _FUNCTIONS[metric.kind](v)
+
+
+def dispersion_pair(metric: DispersionMetric) -> Pair | None:
+    """The pair kernel of ``dispersion(metric, v)``, or None for a metric that has none."""
+    return _PAIR_KERNELS.get(metric)
 
 
 _FUNCTIONS = {
@@ -247,3 +278,10 @@ _FUNCTIONS = {
 METRIC_KINDS = ("atkinson", *_FUNCTIONS)
 
 STD_DEV = DispersionMetric("std_dev")
+
+# Only the metrics whose heatmaps perfbench's heatmap_grid measures have a
+# pair kernel; a heatmap scores every other metric through dispersion().
+_PAIR_KERNELS = {
+    DispersionMetric("theil_l"): theil_l_pair,
+    DispersionMetric("atkinson", 1.0): atkinson_log_pair,
+}

@@ -12,12 +12,21 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import field
-from typing import Callable, Iterable, Iterator, NamedTuple
+from itertools import repeat
+from typing import Callable, NamedTuple, Sequence
 
-from .core import AllocationContext, ValueVector, immutable, mean, ratio_vector, threshold_share
-from .dispersion import STD_DEV, DispersionMetric, dispersion
+from .core import (
+    AllocationContext,
+    Pair,
+    ValueVector,
+    immutable,
+    mean,
+    ratio_vector,
+    threshold_share,
+)
+from .dispersion import STD_DEV, DispersionMetric, dispersion, dispersion_pair
 from .errors import DomainError, NonFiniteScoreError
-from .welfare import benthamite, foster, isoelastic, rawlsian, sen
+from .welfare import benthamite, foster, isoelastic, isoelastic_pair, rawlsian, sen
 
 DIANEMETIC = "dianemetic"
 DIORTHOTIC = "diorthotic"
@@ -36,6 +45,8 @@ class PrincipleSpec:
 
     A spec is resolved when built to the one form that its principle, mode
     and variant select, on its own basis; every scoring function reads it.
+    The form's pair kernel, if it has one, is resolved then too, with the
+    spec's parameters bound in.
     """
 
     principle: str
@@ -47,6 +58,7 @@ class PrincipleSpec:
     rho: float | None = None
     weights: tuple[float, ...] | None = None
     _form: _Form = field(init=False, compare=False, repr=False)
+    _pair: Pair | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         p = self.principle
@@ -83,6 +95,7 @@ class PrincipleSpec:
             raise ValueError(f"principle {p!r} takes no dispersion metric{where}")
         form = _ISOELASTIC if welfare else row.forms.get(self.variant, default)
         object.__setattr__(self, "_form", form._replace(basis=self.basis or form.basis))
+        object.__setattr__(self, "_pair", None if form.pair is None else form.pair(self))
 
     def resolved_metric(self) -> DispersionMetric:
         return self.metric or STD_DEV
@@ -163,24 +176,33 @@ def score(spec: PrincipleSpec, ctx: AllocationContext) -> PrincipleScore:
     return PrincipleScore(value)
 
 
-def score_column(spec: PrincipleSpec, vectors: Iterable[ValueVector]) -> Iterator[float | None]:
-    """Score a stream of vectors, each as the spec's form reads it.
+def score_pairs(spec: PrincipleSpec, s: float, ts: Sequence[float]) -> list[float | None]:
+    """Score the two-element vectors (s, t), t in ``ts``, each as the spec's form reads it.
 
-    Each vector is the basis vector ``score`` would read, already divided by
+    Each pair is the basis vector ``score`` would read, already divided by
     the inputs where the form reads it over them (``frontier_scales`` gives
-    the inputs as p and q). Yields what ``score`` would return as the value
-    for each vector, or None where ``score`` would raise a domain error.
+    the inputs as p and q); every value is finite and >= 0. Returns what
+    ``score`` would return as the value for each pair, or None where
+    ``score`` would raise a domain error. A spec with a pair kernel (see
+    ``core``) scores each pair by it; a pair whose kernel value is inf or
+    NaN, and every pair of a spec without one, is scored by the form's value
+    on ``ValueVector((s, t))``.
     """
-    value_of = spec._form.value
-    for v in vectors:
-        try:
-            value = value_of(spec, v)
-        except (OverflowError, DomainError):
-            value = None
-        else:
-            if not math.isfinite(value):
-                value = None
-        yield value
+    kernel = spec._pair
+    if kernel is None:
+        return [_vector_value(spec, s, t) for t in ts]
+    values = list(map(kernel, repeat(s), ts))
+    if math.isfinite(sum(values)):  # no value is inf or NaN
+        return values
+    return [v if math.isfinite(v) else _vector_value(spec, s, t) for v, t in zip(values, ts)]
+
+
+def _vector_value(spec: PrincipleSpec, s: float, t: float) -> float | None:
+    try:
+        value = spec._form.value(spec, ValueVector((s, t)))
+    except (OverflowError, DomainError):
+        return None
+    return value if math.isfinite(value) else None
 
 
 def _negated(value: float) -> float:
@@ -193,6 +215,10 @@ def _dispersion(spec: PrincipleSpec, v: ValueVector) -> float:
 
 def _negated_dispersion(spec: PrincipleSpec, v: ValueVector) -> float:
     return _negated(_dispersion(spec, v))
+
+
+def _dispersion_pair(spec: PrincipleSpec) -> Pair | None:
+    return dispersion_pair(spec.resolved_metric())
 
 
 def _at_equal_value(
@@ -367,7 +393,8 @@ class _Form(NamedTuple):
     ``value`` reads one vector and nothing else: the basis vector, or, for a
     form ``over_inputs``, the basis vector divided element-wise by the
     inputs, which ``score`` builds once per context and ``heatmap`` once per
-    axis point.
+    axis point. ``pair`` gives the same score of a two-element vector as a
+    pair kernel on its two values, where the form has one.
     """
 
     direction: str
@@ -379,6 +406,8 @@ class _Form(NamedTuple):
     # The default suits a score linear or constant on the frontier.
     breakpoints: Callable[..., list[float]] = lambda spec, w, a, b, p, q: []
     over_inputs: bool = False  # proportion's dispersion forms
+    # spec -> the pair kernel of value, parameters bound in, or None
+    pair: Callable[[PrincipleSpec], Pair | None] | None = None
 
 
 class _Scoring(NamedTuple):
@@ -404,9 +433,12 @@ _ISOELASTIC = _Form(
     lambda spec, v: isoelastic(v, spec.weights, 0.0 if spec.rho is None else spec.rho),
     BASIS_UTILITY,
     _isoelastic_max,
+    pair=lambda spec: isoelastic_pair(spec.weights, 0.0 if spec.rho is None else spec.rho),
 )
 # where the dispersion of the basis vector over the inputs is least
-_PROPORTION = _Form(MINIMIZE, _dispersion, breakpoints=_at_equal_value, over_inputs=True)
+_PROPORTION = _Form(
+    MINIMIZE, _dispersion, breakpoints=_at_equal_value, over_inputs=True, pair=_dispersion_pair
+)
 _SUFFICIENCY = _Scoring({None: _Form(
     MAXIMIZE,
     lambda spec, v: threshold_share(v, spec.threshold),
@@ -418,14 +450,18 @@ _SUFFICIENCY = _Scoring({None: _Form(
 # reads it: each spec is resolved to its one form when it is built. No form's
 # value reads the inputs: proportion's dispersion forms declare over_inputs,
 # and their callers divide the basis vector by the inputs before scoring it.
-# Forms reach the dispersion and welfare functions through this module's
-# globals at call time, never through references captured here, so that
-# patching a module attribute (as instrumentation does) reaches every score.
+# Forms' values reach the dispersion and welfare functions through this
+# module's globals at call time, never through references captured here, so
+# that patching a module attribute (as instrumentation does) reaches every
+# score. Pair kernels are resolved once per spec and reached directly, so
+# instrumentation that wraps module attributes does not see them: their time
+# counts in the self time of the caller of score_pairs (heatmap).
 _SCORING = {
     ("difference", DIANEMETIC): _DIFFERENCE,
     ("difference", DIORTHOTIC): _DIFFERENCE,
     ("equality", DIANEMETIC): _Scoring(
-        {None: _Form(MINIMIZE, _dispersion, breakpoints=_at_equal_value)}, metric=True
+        {None: _Form(MINIMIZE, _dispersion, breakpoints=_at_equal_value, pair=_dispersion_pair)},
+        metric=True,
     ),
     ("equality", DIORTHOTIC): _Scoring({
         "foster": _Form(
@@ -447,7 +483,9 @@ _SCORING = {
     ("greater_good", DIORTHOTIC): _GREATER_GOOD._replace(welfare=True),
     ("proportion", DIANEMETIC): _Scoring({None: _PROPORTION}, metric=True),
     ("proportion", DIORTHOTIC): _Scoring({
-        "dispersion": _PROPORTION._replace(direction=MAXIMIZE, value=_negated_dispersion),
+        "dispersion": _PROPORTION._replace(
+            direction=MAXIMIZE, value=_negated_dispersion, pair=None
+        ),
         # Free-transaction stance: every allocation is equally fair.
         "noop": _Form(MAXIMIZE, lambda spec, v: 0.0),
     }, metric=True),

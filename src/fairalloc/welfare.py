@@ -15,7 +15,7 @@ import operator
 from itertools import repeat
 from typing import Sequence
 
-from .core import LONG, ValueVector, kept_sum, mean
+from .core import LONG, Pair, ValueVector, kept_sum, mean
 from .dispersion import _epsilon_text, gini, theil_t
 from .errors import NonFiniteScoreError, WeightMismatchError, ZeroElementError
 
@@ -59,6 +59,17 @@ def isoelastic(u: ValueVector, weights: Sequence[float] | None, rho: float) -> f
             raise NonFiniteScoreError("weighted log utilities overflow the float range") from None
     p = 1.0 - rho
     return math.fsum(map(operator.mul, w, map(pow, u.values, repeat(p)))) / p
+
+
+def isoelastic_pair(weights: Sequence[float] | None, rho: float) -> Pair | None:
+    """The pair kernel of :func:`isoelastic` without weights at 0 <= rho < 1, else None.
+
+    Only that case, which perfbench's heatmap_grid measures, has a kernel.
+    """
+    if weights is not None or not 0.0 <= rho < 1.0:
+        return None
+    p = 1.0 - rho
+    return lambda s, t: (s**p + t**p) / p
 
 
 def benthamite(u: ValueVector) -> float:

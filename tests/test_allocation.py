@@ -46,7 +46,6 @@ from fairalloc import (
 from fairalloc import principles
 from fairalloc.allocation import _share_context
 from fairalloc.cli import _heatmap_csv
-from fairalloc.dispersion import dispersion
 from fairalloc.principles import _foster_peaks, _threshold_crossings
 from test_principles import ACCEPTED_SHAPES, READS
 
@@ -707,6 +706,44 @@ def _count_scores(monkeypatch):
     return calls
 
 
+def _count_cell_scores(monkeypatch):
+    """Record the values of each heatmap cell scored by a spec built from here on.
+
+    A cell is scored by the spec's pair kernel, or by its form's value where
+    the spec has no kernel; the vector form a kernel falls back to is not
+    counted again.
+    """
+    calls = []
+    pair, value = principles._Form.pair, principles._Form.value  # the fields' getters
+
+    def counted_pair(form):
+        resolve = pair.__get__(form)
+        if resolve is None:
+            return None
+
+        def counted(spec):
+            kernel = resolve(spec)
+            if kernel is None:
+                return None
+
+            def run(s, t):
+                calls.append((s, t))
+                return kernel(s, t)
+            return run
+        return counted
+
+    def counted_value(form):
+        def run(spec, v):
+            if spec._pair is None:
+                calls.append(v.values)
+            return value.__get__(form)(spec, v)
+        return run
+
+    monkeypatch.setattr(principles._Form, "pair", property(counted_pair))
+    monkeypatch.setattr(principles._Form, "value", property(counted_value))
+    return calls
+
+
 def _rounding_bound(problem, spec, shares, value):
     """The most a shift of t by ROUNDING_ULPS units of EPS * total moves a score near shares.
 
@@ -862,7 +899,8 @@ class TestHeatmap:
         size = grid + 1
         for k, cell in enumerate(listed):
             flag = abs(cell.y_a + cell.y_b - total) <= band
-            assert cell.on_frontier == cells.on_frontier(*divmod(k, size)) == flag
+            row, col = divmod(k, size)
+            assert cell.on_frontier == (col in cells.frontier_columns(row)) == flag
         for row in range(size):
             flagged = [col for col in range(size) if listed[row * size + col].on_frontier]
             assert list(cells.frontier_columns(row)) == flagged
@@ -891,16 +929,7 @@ class TestHeatmap:
     def test_each_cell_is_scored_once_per_pair_where_the_agents_are_alike(
         self, monkeypatch, grid
     ):
-        calls = []
-        value = principles._Form.value  # the getter of the form's value field
-
-        def counted(form):
-            def run(*args):
-                calls.append(args)
-                return value.__get__(form)(*args)
-            return run
-
-        monkeypatch.setattr(principles._Form, "value", property(counted))
+        calls = _count_cell_scores(monkeypatch)
         triangle, square = (grid + 1) * (grid + 2) // 2, (grid + 1) ** 2
         agents = (Agent(id="a", input=2.0), Agent(id="b", input=2.0))
         alike = ContinuousProblem(agents=agents, total=7.0, retention={"a": 0.5, "b": 0.5})
@@ -922,18 +951,30 @@ class TestHeatmap:
                     assert len(calls) == expected, (spec, problem)
                     assert len(cells) == square
 
+    def test_only_a_cell_whose_kernel_cannot_vouch_falls_back(self, monkeypatch):
+        built = []
+
+        def counted(values):
+            built.append(values)
+            return ValueVector(values)
+
+        monkeypatch.setattr(principles, "ValueVector", counted)
+        spec = PrincipleSpec("proportion", metric=DispersionMetric.parse("atkinson(1)"))
+        cells = heatmap(fishermen_problem(), spec, 300)
+        # atkinson(1) refuses a zero share, which only the y=0 row and column
+        # hold; the fishermen's unequal inputs leave the square unmirrored
+        assert len(built) == 2 * 301 - 1
+        assert all(0.0 in pair for pair in built)
+        assert [k for k, c in enumerate(cells) if c.score is None] == sorted(
+            {*range(301), *range(0, 301**2, 301)}
+        )
+
     def test_an_input_based_principle_is_scored_once(self, monkeypatch):
-        calls = []
-
-        def counted(metric, v):
-            calls.append(v)
-            return dispersion(metric, v)
-
-        monkeypatch.setattr(principles, "dispersion", counted)
+        calls = _count_cell_scores(monkeypatch)
         cfg = load_preset("fishermen")
         spec = cfg.specs[list(cfg.principle_labels).index("equality_of_opportunity")]
         cells = heatmap(cfg.problem, spec, 10)
-        assert calls == [cfg.problem.inputs]
+        assert calls == [cfg.problem.inputs.values]
         assert len(cells) == 121
         assert {c.score for c in cells} == {-2.0}
 
@@ -997,7 +1038,12 @@ class TestRanking:
             build_ranking(labels, contexts, *rest)
         assert str(err.value) == "candidate labels must be unique"
 
-    def test_labels_match_principles_one_to_one(self):
+    def test_labels_match_principles_one_to_one(self, monkeypatch):
+        optimized = []
+        monkeypatch.setattr(
+            "fairalloc.allocation.optimize_frontier",
+            lambda problem, spec, resolution=None: optimized.append(spec),
+        )
         for cfg, ranking in (
             (load_preset("cake"), discrete_ranking), (load_preset("fishermen"), continuous_ranking)
         ):
@@ -1006,6 +1052,7 @@ class TestRanking:
                 with pytest.raises(ValueError) as err:
                     ranking(cfg.problem, labels, cfg.specs, cfg.weights)
                 assert str(err.value) == f"{n} principles need {n} labels, got {len(labels)}"
+        assert optimized == []  # refused before any split is optimized
 
     def test_an_input_based_principle_is_scored_once_per_inputs_vector(self, monkeypatch):
         calls = _count_scores(monkeypatch)

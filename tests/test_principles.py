@@ -5,7 +5,7 @@ import math
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import assert_close, vectors
 from fairalloc import (
@@ -22,12 +22,16 @@ from fairalloc import (
     ValueVector,
     ZeroInputError,
     direction,
+    dispersion,
     foster,
+    isoelastic,
     mean,
     score,
     std_dev,
 )
-from fairalloc.principles import _SCORING, frontier_breakpoints
+from fairalloc.dispersion import dispersion_pair
+from fairalloc.principles import _SCORING, frontier_breakpoints, weighs_two_alike
+from fairalloc.welfare import isoelastic_pair
 
 STD = DispersionMetric("std_dev")
 
@@ -470,3 +474,73 @@ class TestProperties:
         for principle in PRINCIPLES:
             kwargs = {"threshold": 1.0} if principle == "sufficiency" else {}
             assert direction(_spec(principle, mode=DIORTHOTIC, **kwargs)) == MAXIMIZE
+
+
+# The statistics that have a pair kernel, those whose heatmaps perfbench's
+# heatmap_grid measures, each with its vector form on a two-element vector.
+_KERNEL_METRICS = [DispersionMetric("theil_l"), DispersionMetric("atkinson", 1.0)]
+_ISOELASTIC_RHOS = sorted({s.rho for s in ACCEPTED_SHAPES if s.rho is not None})
+# with rhos from the range that perfbench draws, 0.1 to 0.9
+_KERNEL_RHOS = [rho for rho in _ISOELASTIC_RHOS if rho < 1.0] + [0.1, 0.78, 0.9]
+PAIR_KERNELS = {
+    **{str(m): (dispersion_pair(m), lambda v, m=m: dispersion(m, v)) for m in _KERNEL_METRICS},
+    **{f"isoelastic rho={rho}": (isoelastic_pair(None, rho), lambda v, rho=rho: isoelastic(v, None, rho))
+       for rho in _KERNEL_RHOS},
+}
+WEIGHTS = st.none() | st.sampled_from([(3.0, 3.0), (1.0, 3.0), (1.0, 2.0, 3.0)]) | st.tuples(
+    *[st.sampled_from([5e-324, 1e-300, 1.0, 1e308]) | st.floats(1e-300, 1e308)] * 2
+)
+
+
+def _vouched(kernel, s, t):
+    """The kernel's value where it vouches for it, else None: the caller would fall back."""
+    if kernel is None:
+        return None
+    value = kernel(s, t)
+    return value.hex() if math.isfinite(value) else None
+
+
+class TestPairKernels:
+    @pytest.mark.parametrize("name", PAIR_KERNELS)
+    @settings(max_examples=500)
+    @given(EXTREME_VALUES, EXTREME_VALUES, st.booleans())
+    def test_a_kernel_has_the_vector_forms_bits_or_falls_back(self, name, s, t, equal):
+        # where the vector form raises or gives inf or NaN, the kernel falls back too
+        if equal:
+            t = s
+        kernel, vector_form = PAIR_KERNELS[name]
+        value = _vouched(kernel, s, t)
+        try:
+            expected = vector_form(ValueVector((s, t)))
+        except (DomainError, OverflowError):
+            expected = None
+        if value is not None:
+            assert expected is not None and math.isfinite(expected) and expected.hex() == value
+
+    @pytest.mark.parametrize("name", PAIR_KERNELS)
+    def test_a_kernel_vouches_for_ordinary_pairs(self, name):
+        # a kernel that fell back everywhere would pass the property above
+        kernel, vector_form = PAIR_KERNELS[name]
+        for pair in [(1.0, 3.0), (2.5, 2.5), (7.0, 0.5)]:
+            assert _vouched(kernel, *pair) == vector_form(ValueVector(pair)).hex(), pair
+
+    def test_every_other_statistic_has_no_kernel(self):
+        # so that a heatmap scores it through its vector form
+        others = [m for m in [*METRICS, DispersionMetric("atkinson", 0.0)]
+                  if m not in _KERNEL_METRICS]
+        assert [m for m in others if dispersion_pair(m) is not None] == []
+        shapes = itertools.product([None, (1.0, 3.0), (3.0, 3.0)], _ISOELASTIC_RHOS)
+        assert [(weights, rho) for weights, rho in shapes
+                if (isoelastic_pair(weights, rho) is not None)
+                != (weights is None and rho in _KERNEL_RHOS)] == []
+        for spec in ACCEPTED_SHAPES:
+            if spec._pair is not None:
+                assert spec.resolved_metric() in _KERNEL_METRICS or spec.rho in _KERNEL_RHOS, spec
+
+    @given(st.sampled_from(ACCEPTED_SHAPES), WEIGHTS, EXTREME_VALUES, EXTREME_VALUES)
+    def test_a_spec_that_weighs_two_alike_has_a_symmetric_kernel(self, spec, weights, s, t):
+        # the heatmap mirrors a square scored on equal axes through this
+        if spec.rho is not None:
+            spec = dataclasses.replace(spec, weights=weights)
+        if weighs_two_alike(spec):
+            assert _vouched(spec._pair, s, t) == _vouched(spec._pair, t, s)
