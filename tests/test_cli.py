@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +72,23 @@ class TestMetrics:
     def test_unknown_metric_exit_2(self, capsys):
         code, _, err = run(capsys, "metrics", "--values", "1,2", "--metric", "nope")
         assert code == 2
+
+    def test_one_call_prints_what_one_call_per_metric_prints(self, capsys):
+        rng = random.Random(1)
+        values = ",".join(repr(rng.lognormvariate(0.0, 1.0)) for _ in range(2000))
+        metrics = ["gini", "herfindahl", "hoover", "palma", "std_dev", "theil_t", "theil_l",
+                   "atkinson(0)", "atkinson(0.5)", "atkinson(1)", "atkinson(2)", "atkinson(inf)"]
+        code, out, _ = run(capsys, "metrics", "--values", values, "--metric", ",".join(metrics))
+        assert code == 0
+        # one call pads every name to the longest, so lines are compared as name and value
+        one_call = [line.split() for line in out.splitlines()]
+        per_metric = []
+        for metric in metrics:
+            code, out, _ = run(capsys, "metrics", "--values", values, "--metric", metric)
+            assert code == 0
+            per_metric += [line.split() for line in out.splitlines()]
+        assert len(one_call) == 12
+        assert one_call == per_metric
 
     @pytest.mark.parametrize("metric", [",", ""])
     def test_no_metric_exit_2(self, capsys, metric):
@@ -473,6 +491,15 @@ CONTRACT_FILES = {
         "pieces": [{"amount": 0.5, "bonus": {"A": 1e308}}, {"amount": 0.5, "bonus": {"B": 1e308}}],
         "principles": [{"principle": "difference", "variant": "harsanyian", "basis": "utility"}],
     }),
+    # the equal-value split of two retentions of 5e-324 on the largest total
+    "tiny-retention.json": json.dumps({
+        "kind": "continuous",
+        "agents": [{"id": "A", "input": 1.0098284052755533},
+                   {"id": "B", "input": 0.0504150618905204}],
+        "total": 1.7976931348623157e308,
+        "retention": {"A": 5e-324, "B": 5e-324},
+        "principles": [{"principle": "proportion", "basis": "utility"}],
+    }),
     "blowup.json": json.dumps({
         "kind": "discrete",
         "agents": [{"id": "A", "input": 1.0}, {"id": "B", "input": 1.0}],
@@ -519,6 +546,29 @@ ERROR_CONTRACT = [
     ("metrics-atkinson-power-mean-overflow",
      ["metrics", "--values", ",".join(["1e-160"] + ["1e160"] * 9),
       "--metric", "atkinson(1.0000001)"], 0, "atkinson(1.0000001)  1"),
+    # README's worked example: 0 for each metric but palma, and atkinson(1), whose
+    # exp of the mean log does not give 1.7e308 back exactly
+    ("metrics-all-overflow",
+     ["metrics", "--values", "1.7e308,1.7e308", "--metric",
+      "gini,herfindahl,hoover,palma,std_dev,theil_t,theil_l,"
+      "atkinson(0),atkinson(0.5),atkinson(1),atkinson(2),atkinson(inf)"], 0,
+     "gini           0\n"
+     "herfindahl     0\n"
+     "hoover         0\n"
+     "palma          0.25\n"
+     "std_dev        0\n"
+     "theil_t        0\n"
+     "theil_l        0\n"
+     "atkinson(0)    0\n"
+     "atkinson(0.5)  0\n"
+     "atkinson(1)    3.09752e-14\n"
+     "atkinson(2)    0\n"
+     "atkinson(inf)  0"),
+    # two Atkinson parameters in one call, each taking its own overflow path
+    ("metrics-two-atkinson-overflow",
+     ["metrics", "--values", "5e-324,1.7e308,1.7e308",
+      "--metric", "atkinson(2),atkinson(1.0000001)"], 0,
+     "atkinson(2)          1\natkinson(1.0000001)  1"),
     # mean / x is past the float range; ln mean - ln x is not
     ("metrics-theil-l-ratio-overflow", ["metrics", "--values", "5e-324,1", "--metric", "theil_l"],
      0, "theil_l  371.527"),
@@ -578,6 +628,15 @@ Combined ranking (weighted Borda):
   2. scenario 1 points=2
   3. scenario 4 points=2
   4. scenario 3 points=0"""),
+    ("evaluate-tiny-retention", ["evaluate", "--config", "{tmp}/tiny-retention.json"], 0,
+     """Candidates:
+  t=1.712212e+308  y=[1.71221e+308, 8.54811e+306] u=[8.45945e-16, 4.22333e-17]
+
+Principle proportion (minimize):
+  t=1.712212e+308  score=2.51401e-31 rank=1
+
+Combined ranking (weighted Borda):
+  1. t=1.712212e+308 points=0"""),
     ("evaluate-all-zero-aggregation-weights",
      ["evaluate", "--config", "{tmp}/cake-zero-weights.json"], 2,
      "error: $.aggregation.weights: at least one weight must be positive"),
@@ -621,18 +680,22 @@ class TestErrorContract:
         assert run(capsys, *argv) == ((code, "", expected) if code else (code, expected, ""))
 
 
+def spawn(*argv, **kwargs):
+    """Run ``python -m fairalloc`` on this checkout's source in a child process."""
+    src = str(Path(fairalloc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    return subprocess.run(
+        [sys.executable, "-m", "fairalloc", *argv], text=True, env=env, timeout=60, **kwargs
+    )
+
+
 class TestEntryPoint:
     def test_deep_config_reports_one_error_line(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
-        src = str(Path(fairalloc.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        ))
-        proc = subprocess.run(
-            [sys.executable, "-m", "fairalloc", "evaluate", "--config", str(path)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = spawn("evaluate", "--config", str(path), capture_output=True)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
@@ -640,11 +703,13 @@ class TestEntryPoint:
         assert len(lines) == 1
         assert lines[0].startswith(f"error: {path}: invalid JSON: maximum recursion depth")
 
-    @pytest.mark.parametrize("target, reason", [
-        ("full", "[Errno 28] No space left on device"),
-        ("closed-pipe", "[Errno 32] Broken pipe"),
-    ], ids=["full", "closed-pipe"])
-    def test_failed_stdout_write_reports_one_error_line(self, target, reason):
+    @pytest.mark.parametrize("argv, target, reason", [
+        (["evaluate", "--preset", "fishermen"], "full", "[Errno 28] No space left on device"),
+        (["evaluate", "--preset", "fishermen"], "closed-pipe", "[Errno 32] Broken pipe"),
+        # about 3.4 MB of CSV, so the write itself fails, not only the flush at exit
+        ([*HEATMAP, "equality", "--grid", "300"], "full", "[Errno 28] No space left on device"),
+    ], ids=["full", "closed-pipe", "heatmap-full"])
+    def test_failed_stdout_write_reports_one_error_line(self, argv, target, reason):
         if target == "full":
             if not os.path.exists("/dev/full"):
                 pytest.skip("no /dev/full on this platform")
@@ -652,15 +717,8 @@ class TestEntryPoint:
         else:
             read_end, stdout = os.pipe()
             os.close(read_end)  # closed before the spawn, so every write breaks the pipe
-        src = str(Path(fairalloc.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        ))
         try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "fairalloc", "evaluate", "--preset", "fishermen"],
-                stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
-            )
+            proc = spawn(*argv, stdout=stdout, stderr=subprocess.PIPE)
         finally:
             os.close(stdout)
         assert (proc.returncode, proc.stderr) == (2, f"error: cannot write stdout: {reason}\n")
