@@ -21,14 +21,13 @@ from .core import Agent, AllocationContext, ValueVector, immutable
 from .errors import DomainError, NonFiniteScoreError, ScoringError
 from .principles import (
     BASIS_INPUT,
+    MAXIMIZE,
     MINIMIZE,
     PrincipleSpec,
     direction as principle_direction,
     frontier_breakpoints,
-    frontier_scales,
     score,
-    score_pairs,
-    weighs_two_alike,
+    score_square,
 )
 
 ENUMERATION_CAP = 1_000_000
@@ -344,15 +343,10 @@ class Heatmap(Sequence):
 def heatmap(problem: ContinuousProblem, spec: PrincipleSpec, grid: int) -> Heatmap:
     """Principle scores over the full [0, total]^2 square, row-major.
 
-    Off-frontier points are scored too, so contour plots can show welfare
-    level sets crossing the frontier. Cells whose score raises a domain
-    error carry ``None`` instead of aborting the sweep. Each axis point y is
-    prescaled once per agent to what the spec's form reads, a y / p and
-    b y / q (``frontier_scales``), and each row is scored by ``score_pairs``
-    on the pairs of the two prescaled axes. Where the two are equal and the
-    spec weighs both agents alike, the square is symmetric: the upper
-    triangle, diagonal included, is scored and mirrored. An input-based
-    principle (equality of opportunity) is scored once.
+    The axis is i * total / grid for i = 0..grid. Off-frontier points are
+    scored too, so contour plots can show welfare level sets crossing the
+    frontier. ``principles.score_square`` scores the cells; a cell whose
+    score raises a domain error carries ``None`` instead of aborting the sweep.
     """
     if grid < 1:
         raise ValueError("grid must be >= 1")
@@ -362,27 +356,7 @@ def heatmap(problem: ContinuousProblem, spec: PrincipleSpec, grid: int) -> Heatm
     # where i * total is past the float range, divide first
     axis = [y if math.isfinite(y := i * total / grid) else i / grid * total for i in range(grid)]
     axis.append(total)
-    axis = tuple(axis)
-    if spec.resolved_basis() == BASIS_INPUT:
-        x_a, x_b = problem.inputs.values
-        (value,) = score_pairs(spec, x_a, (x_b,))
-        return Heatmap(axis, (value,) * cells)
-    a, b, p, q = frontier_scales(spec, problem.retention_factors(), problem.inputs.values)
-    if 0.0 in (p, q):  # every ratio is undefined
-        return Heatmap(axis, (None,) * cells)
-    axis_a, axis_b = [a * y / p for y in axis], [b * y / q for y in axis]
-    # A ratio past the float range is inf, and undefined; the axes ascend,
-    # so only rows and columns from the first such point on are affected.
-    rows, cols = bisect.bisect_left(axis_a, math.inf), bisect.bisect_left(axis_b, math.inf)
-    mirror = axis_a == axis_b and weighs_two_alike(spec)
-    n = grid + 1
-    scores = [None] * cells
-    for row, s in enumerate(axis_a[:rows]):
-        first = row if mirror else 0
-        k = row * n
-        scores[k + first:k + cols] = score_pairs(spec, s, axis_b[first:cols])
-        if mirror:  # the scores right of the diagonal go below it, down column row
-            scores[k + n + row:cols * n:n] = scores[k + row + 1:k + cols]
+    scores = score_square(spec, axis, problem.retention_factors(), problem.inputs.values)
     return Heatmap(axis, scores)
 
 
@@ -391,6 +365,8 @@ def rank_scores(values: Sequence[float], direction: str) -> list[int]:
 
     Ties share the smallest applicable rank and the next rank is skipped.
     """
+    if direction not in (MAXIMIZE, MINIMIZE):
+        raise ValueError(f"unknown direction {direction!r}")
     for v in values:
         if not math.isfinite(v):
             raise NonFiniteScoreError(f"cannot rank non-finite score {v!r}")

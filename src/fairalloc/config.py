@@ -35,6 +35,12 @@ class ProblemConfig:
     weights: tuple[float, ...]
     candidate_labels: tuple[str, ...] | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "specs", tuple(self.specs))
+        object.__setattr__(self, "weights", tuple(self.weights))
+        if self.candidate_labels is not None:
+            object.__setattr__(self, "candidate_labels", tuple(self.candidate_labels))
+
     @property
     def kind(self) -> str:
         return "discrete" if isinstance(self.problem, DiscreteProblem) else "continuous"

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import field
 from itertools import repeat
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from .core import (
     AllocationContext,
@@ -61,6 +62,8 @@ class PrincipleSpec:
     _pair: Pair | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.weights is not None:
+            object.__setattr__(self, "weights", tuple(self.weights))
         p = self.principle
         if p not in PRINCIPLES:
             raise ValueError(f"unknown principle {p!r}")
@@ -176,25 +179,49 @@ def score(spec: PrincipleSpec, ctx: AllocationContext) -> PrincipleScore:
     return PrincipleScore(value)
 
 
-def score_pairs(spec: PrincipleSpec, s: float, ts: Sequence[float]) -> list[float | None]:
-    """Score the two-element vectors (s, t), t in ``ts``, each as the spec's form reads it.
+def score_square(
+    spec: PrincipleSpec, axis: list[float], retention: tuple[float, ...], inputs: tuple[float, ...]
+) -> list[float | None]:
+    """The spec's score at each point (s, t) of the square ``axis`` x ``axis``, row-major.
 
-    Each pair is the basis vector ``score`` would read, already divided by
-    the inputs where the form reads it over them (``frontier_scales`` gives
-    the inputs as p and q); every value is finite and >= 0. Returns what
-    ``score`` would return as the value for each pair, or None where
-    ``score`` would raise a domain error. A spec with a pair kernel (see
-    ``core``) scores each pair by it; a pair whose kernel value is inf or
-    NaN, and every pair of a spec without one, is scored by the form's value
-    on ``ValueVector((s, t))``.
+    s and t are the shares of two agents with the given retention factors and
+    inputs, and ``axis`` ascends and is finite and >= 0. A value is what
+    ``score`` gives at the point, or None where it would raise a domain error.
+    An input-based spec is scored once. Otherwise each axis point is prescaled
+    once per agent as ``frontier_scales`` says; a zero input blanks every cell,
+    and a ratio past the float range the rows and columns from it on. Where
+    the prescaled axes are equal and the spec weighs two agents alike, the
+    upper triangle, diagonal included, is scored and mirrored. A cell is scored
+    by the spec's pair kernel (see ``core``) where it has one that gives a
+    finite value, else by the form's value on ``ValueVector((s, t))``.
     """
+    n = len(axis)
+    if spec._form.basis == BASIS_INPUT:
+        return [_vector_value(spec, *inputs)] * n**2
+    a, b, p, q = frontier_scales(spec, retention, inputs)
+    if 0.0 in (p, q):  # every ratio is undefined
+        return [None] * n**2
+    axis_a, axis_b = [a * y / p for y in axis], [b * y / q for y in axis]
+    # each prescaled axis ascends, so its infs come last
+    rows, cols = bisect_left(axis_a, math.inf), bisect_left(axis_b, math.inf)
+    mirror = axis_a == axis_b and weighs_two_alike(spec)
     kernel = spec._pair
-    if kernel is None:
-        return [_vector_value(spec, s, t) for t in ts]
-    values = list(map(kernel, repeat(s), ts))
-    if math.isfinite(sum(values)):  # no value is inf or NaN
-        return values
-    return [v if math.isfinite(v) else _vector_value(spec, s, t) for v, t in zip(values, ts)]
+    scores = [None] * n**2
+    for row, s in enumerate(axis_a[:rows]):
+        first = row if mirror else 0
+        ts = axis_b[first:cols]
+        if kernel is None:
+            values = [_vector_value(spec, s, t) for t in ts]
+        else:
+            values = list(map(kernel, repeat(s), ts))
+            if not math.isfinite(sum(values)):  # some value is inf or NaN
+                values = [v if math.isfinite(v) else _vector_value(spec, s, t)
+                          for v, t in zip(values, ts)]
+        k = row * n
+        scores[k + first:k + cols] = values
+        if mirror:  # the scores right of the diagonal go below it, down column row
+            scores[k + n + row:cols * n:n] = scores[k + row + 1:k + cols]
+    return scores
 
 
 def _vector_value(spec: PrincipleSpec, s: float, t: float) -> float | None:
@@ -392,8 +419,8 @@ class _Form(NamedTuple):
 
     ``value`` reads one vector and nothing else: the basis vector, or, for a
     form ``over_inputs``, the basis vector divided element-wise by the
-    inputs, which ``score`` builds once per context and ``heatmap`` once per
-    axis point. ``pair`` gives the same score of a two-element vector as a
+    inputs, which ``score`` builds once per context and ``score_square`` once
+    per axis point. ``pair`` gives the same score of a two-element vector as a
     pair kernel on its two values, where the form has one.
     """
 
@@ -455,7 +482,7 @@ _SUFFICIENCY = _Scoring({None: _Form(
 # that patching a module attribute (as instrumentation does) reaches every
 # score. Pair kernels are resolved once per spec and reached directly, so
 # instrumentation that wraps module attributes does not see them: their time
-# counts in the self time of the caller of score_pairs (heatmap).
+# counts in the self time of the caller of score_square (heatmap).
 _SCORING = {
     ("difference", DIANEMETIC): _DIFFERENCE,
     ("difference", DIORTHOTIC): _DIFFERENCE,

@@ -1005,6 +1005,10 @@ class TestRanking:
         with pytest.raises(NonFiniteScoreError):
             rank_scores([1.0, float("nan")], MAXIMIZE)
 
+    def test_an_unknown_direction_is_refused(self):
+        with pytest.raises(ValueError, match="^unknown direction 'minimise'$"):
+            rank_scores([1.0, 2.0], "minimise")
+
     def test_cake_rank_one_per_principle(self):
         cfg = load_preset("cake")
         table = discrete_ranking(

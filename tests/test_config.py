@@ -84,6 +84,17 @@ class TestParsing:
         cfg = parse_config(doc)
         assert cfg.weights == (1.0, 2.0)
 
+    def test_a_config_keeps_no_callers_lists(self):
+        cfg = parse_config(minimal_discrete())
+        specs, weights, labels = list(cfg.specs), [1.0], ["first"]
+        kept = ProblemConfig(cfg.problem, specs, weights, labels)
+        specs.append(specs[0])
+        weights[0] = -1.0
+        labels[0] = "changed"
+        assert kept.specs == cfg.specs and type(kept.specs) is tuple
+        assert (kept.weights, kept.candidate_labels) == ((1.0,), ("first",))
+        assert ProblemConfig(cfg.problem, specs, weights).candidate_labels is None
+
     def test_metric_string_with_parameter(self):
         doc = minimal_discrete()
         doc["principles"] = [{"principle": "equality", "metric": "atkinson(0.5)"}]

@@ -1,6 +1,9 @@
+import ast
 import copy
 import math
 import pickle
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -217,3 +220,22 @@ class TestCoreProperties:
         scaled = ratio_vector(scale(y, c), x)
         for a, b in zip(scaled.values, base.values):
             assert_close(a, c * b, rel=1e-9, abs_tol=1e-9)
+
+
+def test_the_readme_library_block_gives_its_commented_values():
+    """README's Library block runs, and each line with a value in its comment evaluates to it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```", readme, re.M | re.S).group(1)
+    namespace = {}
+    exec(block, namespace)
+    commented = {}
+    for line in block.splitlines():
+        if match := re.fullmatch(r"(\S.*?)\s+# (\(.*?\)|[0-9.]+).*", line):
+            expression, value = match.groups()
+            commented[expression] = eval(expression, namespace)
+            assert commented[expression] == ast.literal_eval(value), line
+    assert commented == {
+        "gini(v)": 0.25,
+        'atkinson(v, float("inf"))': 0.5,
+        "shares.values": (2.8, 4.2),
+    }

@@ -134,6 +134,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             _spec("difference", mode=DIORTHOTIC, weights=(1.0, 1.0))
 
+    def test_a_spec_keeps_no_callers_weights(self):
+        weights = [1.0, 2.0]
+        spec = _spec("greater_good", mode=DIORTHOTIC, rho=0.5, weights=weights)
+        before = score(spec, SCENARIO4_CTX)
+        weights[0] = -1.0
+        assert spec.weights == (1.0, 2.0)
+        assert score(spec, SCENARIO4_CTX) == before
+        twin = _spec("greater_good", mode=DIORTHOTIC, rho=0.5, weights=(1.0, 2.0))
+        assert twin == spec and hash(twin) == hash(spec)
+
     def test_default_bases(self):
         # SCENARIO4_CTX's inputs, outputs and utilities all score differently
         for principle, basis, other, kwargs in [

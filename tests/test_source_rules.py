@@ -98,13 +98,15 @@ def one_value_shape(sources):
 
 PRINCIPLE_PARAMETER = re.compile(
     r"spec\.(threshold|rho|weights|variant|metric)|BASIS_UTILITY|over_inputs|\._form"
+    r"|frontier_scales|weighs_two_alike|score_pairs"
 )
 
 
 def allocation_reads_no_principle_parameter(sources):
     """``allocation.py`` reads no principle parameter and names no ``BASIS_UTILITY``,
-    ``over_inputs`` or ``._form``: each scoring row declares where its score turns, and
-    ``principles.frontier_scales`` alone says how a spec reads two shares."""
+    ``over_inputs``, ``._form``, ``frontier_scales``, ``weighs_two_alike`` or ``score_pairs``:
+    each scoring row declares where its score turns, and ``principles`` alone applies how a
+    spec reads two shares (its prescaling, undefined cells and symmetry)."""
     return [
         f"{no}:{line}"
         for source in sources if source.path == ALLOCATION
@@ -143,7 +145,7 @@ RULES = {
     unused_imports: "remove each import that the module does not read",
     one_value_shape: "declare the value @immutable, and derive its data in its constructor",
     allocation_reads_no_principle_parameter:
-        "allocation.py reads a principle parameter or how a form reads shares; "
+        "allocation.py reads a principle parameter or applies how a spec reads two shares; "
         "put that decision in principles",
     scoring_is_read_when_a_spec_is_built:
         "resolve the spec's form in PrincipleSpec.__post_init__, "
@@ -262,6 +264,19 @@ class TestEachRuleFires:
         assert allocation_reads_no_principle_parameter([source]) == [
             "1:from .principles import BASIS_UTILITY",
             "5:    return spec.threshold if basis == BASIS_UTILITY else None",
+        ]
+
+    def test_how_a_spec_reads_two_shares_applied_in_allocation(self):
+        source = module("allocation.py", """
+            def square(spec, retention, inputs, s, ts):
+                a, b, p, q = frontier_scales(spec, retention, inputs)
+                mirror = weighs_two_alike(spec)
+                return score_pairs(spec, a * s / p, ts)
+            """)
+        assert allocation_reads_no_principle_parameter([source]) == [
+            "2:    a, b, p, q = frontier_scales(spec, retention, inputs)",
+            "3:    mirror = weighs_two_alike(spec)",
+            "4:    return score_pairs(spec, a * s / p, ts)",
         ]
 
     def test_a_third_scoring_read(self):
