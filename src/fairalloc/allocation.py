@@ -20,12 +20,12 @@ from types import MappingProxyType
 from .core import Agent, AllocationContext, ValueVector, immutable
 from .errors import DomainError, NonFiniteScoreError, ScoringError
 from .principles import (
-    BASIS_INPUT,
     MAXIMIZE,
     MINIMIZE,
     PrincipleSpec,
     direction as principle_direction,
     frontier_breakpoints,
+    input_based,
     score,
     score_square,
 )
@@ -50,7 +50,7 @@ class Piece:
     """An indivisible piece: resource amount plus per-agent feature bonus."""
 
     amount: float
-    bonus: Mapping[str, float]
+    bonus: Mapping[str, float] = field(hash=False)  # a read-only view, which does not hash
 
     def __post_init__(self):
         object.__setattr__(self, "bonus", MappingProxyType(dict(self.bonus)))
@@ -148,7 +148,7 @@ class ContinuousProblem:
 
     agents: tuple[Agent, ...]
     total: float
-    retention: Mapping[str, float]
+    retention: Mapping[str, float] = field(hash=False)  # a read-only view, which does not hash
     inputs: ValueVector = field(init=False, compare=False, repr=False)
     # Retention in agent order, for the per-evaluation scoring path.
     _factors: tuple[float, ...] = field(init=False, compare=False, repr=False)
@@ -455,10 +455,10 @@ def build_ranking(
     ranks: list[tuple[int, ...]] = []
     for label, spec in zip(principle_labels, specs):
         row = []
-        input_based = spec.resolved_basis() == BASIS_INPUT
+        by_inputs = input_based(spec)
         scored = None  # the inputs object an input-based spec last scored
         for candidate, ctx in zip(candidates, contexts):
-            if input_based:
+            if by_inputs:
                 if ctx.inputs is scored:
                     row.append(value)
                     continue

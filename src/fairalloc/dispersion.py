@@ -25,7 +25,6 @@ from typing import Sequence
 
 from .core import (
     LONG,
-    Pair,
     ValueVector,
     immutable,
     kept,
@@ -261,11 +260,6 @@ def dispersion(metric: DispersionMetric, v: ValueVector) -> float:
     return _FUNCTIONS[metric.kind](v)
 
 
-def dispersion_pair(metric: DispersionMetric) -> Pair | None:
-    """The pair kernel of ``dispersion(metric, v)``, or None for a metric that has none."""
-    return _PAIR_KERNELS.get(metric)
-
-
 _FUNCTIONS = {
     "gini": gini,
     "herfindahl": herfindahl_normalized,
@@ -281,7 +275,7 @@ STD_DEV = DispersionMetric("std_dev")
 
 # Only the metrics whose heatmaps perfbench's heatmap_grid measures have a
 # pair kernel; a heatmap scores every other metric through dispersion().
-_PAIR_KERNELS = {
+PAIR_KERNELS = {
     DispersionMetric("theil_l"): theil_l_pair,
     DispersionMetric("atkinson", 1.0): atkinson_log_pair,
 }

@@ -25,7 +25,7 @@ from .core import (
     ratio_vector,
     threshold_share,
 )
-from .dispersion import STD_DEV, DispersionMetric, dispersion, dispersion_pair
+from .dispersion import PAIR_KERNELS, STD_DEV, DispersionMetric, dispersion
 from .errors import DomainError, NonFiniteScoreError
 from .welfare import benthamite, foster, isoelastic, isoelastic_pair, rawlsian, sen
 
@@ -96,16 +96,14 @@ class PrincipleSpec:
         if self.metric is not None and not row.metric:
             where = f" in {self.mode} mode" if other.metric else ""
             raise ValueError(f"principle {p!r} takes no dispersion metric{where}")
+        if self.metric is not None and not isinstance(self.metric, DispersionMetric):
+            raise ValueError(f"metric must be a DispersionMetric, got {self.metric!r}")
         form = _ISOELASTIC if welfare else row.forms.get(self.variant, default)
         object.__setattr__(self, "_form", form._replace(basis=self.basis or form.basis))
         object.__setattr__(self, "_pair", None if form.pair is None else form.pair(self))
 
     def resolved_metric(self) -> DispersionMetric:
         return self.metric or STD_DEV
-
-    def resolved_basis(self) -> str:
-        """The basis vector scored: BASIS_OUTPUT, BASIS_UTILITY or BASIS_INPUT."""
-        return self._form.basis
 
 
 @immutable
@@ -118,6 +116,11 @@ class PrincipleScore:
 def direction(spec: PrincipleSpec) -> str:
     """Optimization direction: dianemetic dispersion principles minimize."""
     return spec._form.direction
+
+
+def input_based(spec: PrincipleSpec) -> bool:
+    """Whether the spec's form reads the inputs alone: it scores a problem's allocations alike."""
+    return spec._form.basis == BASIS_INPUT
 
 
 def weighs_two_alike(spec: PrincipleSpec) -> bool:
@@ -196,7 +199,7 @@ def score_square(
     finite value, else by the form's value on ``ValueVector((s, t))``.
     """
     n = len(axis)
-    if spec._form.basis == BASIS_INPUT:
+    if input_based(spec):
         return [_vector_value(spec, *inputs)] * n**2
     a, b, p, q = frontier_scales(spec, retention, inputs)
     if 0.0 in (p, q):  # every ratio is undefined
@@ -245,7 +248,7 @@ def _negated_dispersion(spec: PrincipleSpec, v: ValueVector) -> float:
 
 
 def _dispersion_pair(spec: PrincipleSpec) -> Pair | None:
-    return dispersion_pair(spec.resolved_metric())
+    return PAIR_KERNELS.get(spec.resolved_metric())
 
 
 def _at_equal_value(

@@ -939,7 +939,7 @@ class TestHeatmap:
                 spec = dataclasses.replace(shape, weights=weights)
                 for problem in (alike, fishermen):
                     over_inputs = spec.principle == "proportion" and spec.variant != "noop"
-                    basis = spec.resolved_basis()
+                    basis = spec._form.basis
                     differ = problem is fishermen and (basis == "utility" or over_inputs)
                     expected = (
                         1 if basis == "input"

@@ -415,6 +415,13 @@ class TestLoadConfig:
                     assert (twin.principle, twin.candidate) == (error.principle, error.candidate)
                     assert twin.cause.name == error.cause.name == "ZeroInput"
 
+    def test_every_exported_value_hashes_as_its_twins(self):
+        # equal values hash equal, so a config or a problem can key a set or a cache
+        values, _ = _exported_samples()
+        for rebuild in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            for value in values:
+                assert hash(rebuild(value)) == hash(value), type(value)
+
     def test_every_exported_value_is_slotted(self):
         # one shape for every value: no instance dict, and no weak references
         values, _ = _exported_samples()

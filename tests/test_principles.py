@@ -29,7 +29,7 @@ from fairalloc import (
     score,
     std_dev,
 )
-from fairalloc.dispersion import dispersion_pair
+from fairalloc.dispersion import PAIR_KERNELS as DISPERSION_KERNELS
 from fairalloc.principles import _SCORING, frontier_breakpoints, weighs_two_alike
 from fairalloc.welfare import isoelastic_pair
 
@@ -116,6 +116,19 @@ class TestSpecValidation:
     def test_metric_only_for_dispersion_principles(self):
         with pytest.raises(ValueError):
             _spec("difference", metric=STD)
+
+    def test_a_metric_is_a_dispersion_metric(self):
+        # a metric name is refused when the spec is built, not when it is scored
+        with pytest.raises(ValueError) as err:
+            _spec("equality", metric="gini")
+        assert str(err.value) == "metric must be a DispersionMetric, got 'gini'"
+        # the rules checked before it are still reported first
+        with pytest.raises(ValueError) as err:
+            _spec("difference", metric="gini")
+        assert str(err.value) == "principle 'difference' takes no dispersion metric"
+        with pytest.raises(ValueError) as err:
+            _spec("equality", metric="gini", threshold=1.0)
+        assert str(err.value) == "threshold is required for sufficiency and only there"
 
     def test_variants_checked(self):
         with pytest.raises(ValueError):
@@ -223,7 +236,7 @@ class TestScoringTable:
         for twin in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
             assert twin == spec and hash(twin) == hash(spec)
             assert direction(twin) == direction(spec)
-            assert twin.resolved_basis() == spec.resolved_basis()
+            assert twin._form == spec._form
             assert (frontier_breakpoints(twin, 7.0, (0.95, 0.85), (8.0, 12.0))
                     == frontier_breakpoints(spec, 7.0, (0.95, 0.85), (8.0, 12.0)))
             assert score(twin, SCENARIO4_CTX).value == expected
@@ -493,7 +506,7 @@ _ISOELASTIC_RHOS = sorted({s.rho for s in ACCEPTED_SHAPES if s.rho is not None})
 # with rhos from the range that perfbench draws, 0.1 to 0.9
 _KERNEL_RHOS = [rho for rho in _ISOELASTIC_RHOS if rho < 1.0] + [0.1, 0.78, 0.9]
 PAIR_KERNELS = {
-    **{str(m): (dispersion_pair(m), lambda v, m=m: dispersion(m, v)) for m in _KERNEL_METRICS},
+    **{str(m): (DISPERSION_KERNELS[m], lambda v, m=m: dispersion(m, v)) for m in _KERNEL_METRICS},
     **{f"isoelastic rho={rho}": (isoelastic_pair(None, rho), lambda v, rho=rho: isoelastic(v, None, rho))
        for rho in _KERNEL_RHOS},
 }
@@ -538,7 +551,7 @@ class TestPairKernels:
         # so that a heatmap scores it through its vector form
         others = [m for m in [*METRICS, DispersionMetric("atkinson", 0.0)]
                   if m not in _KERNEL_METRICS]
-        assert [m for m in others if dispersion_pair(m) is not None] == []
+        assert [m for m in others if m in DISPERSION_KERNELS] == []
         shapes = itertools.product([None, (1.0, 3.0), (3.0, 3.0)], _ISOELASTIC_RHOS)
         assert [(weights, rho) for weights, rho in shapes
                 if (isoelastic_pair(weights, rho) is not None)

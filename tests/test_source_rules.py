@@ -97,16 +97,17 @@ def one_value_shape(sources):
 
 
 PRINCIPLE_PARAMETER = re.compile(
-    r"spec\.(threshold|rho|weights|variant|metric)|BASIS_UTILITY|over_inputs|\._form"
+    r"spec\.(threshold|rho|weights|variant|metric)|BASIS_|resolved_basis|over_inputs|\._form"
     r"|frontier_scales|weighs_two_alike|score_pairs"
 )
 
 
 def allocation_reads_no_principle_parameter(sources):
-    """``allocation.py`` reads no principle parameter and names no ``BASIS_UTILITY``,
-    ``over_inputs``, ``._form``, ``frontier_scales``, ``weighs_two_alike`` or ``score_pairs``:
-    each scoring row declares where its score turns, and ``principles`` alone applies how a
-    spec reads two shares (its prescaling, undefined cells and symmetry)."""
+    """``allocation.py`` reads no principle parameter and names no ``BASIS_`` constant,
+    ``resolved_basis``, ``over_inputs``, ``._form``, ``frontier_scales``, ``weighs_two_alike``
+    or ``score_pairs``: each scoring row declares where its score turns, and ``principles``
+    alone says how a spec is scored (which vector it reads, and how it reads two shares: its
+    prescaling, undefined cells and symmetry)."""
     return [
         f"{no}:{line}"
         for source in sources if source.path == ALLOCATION
@@ -145,7 +146,7 @@ RULES = {
     unused_imports: "remove each import that the module does not read",
     one_value_shape: "declare the value @immutable, and derive its data in its constructor",
     allocation_reads_no_principle_parameter:
-        "allocation.py reads a principle parameter or applies how a spec reads two shares; "
+        "allocation.py reads a principle parameter or decides how a spec is scored; "
         "put that decision in principles",
     scoring_is_read_when_a_spec_is_built:
         "resolve the spec's form in PrincipleSpec.__post_init__, "
@@ -264,6 +265,21 @@ class TestEachRuleFires:
         assert allocation_reads_no_principle_parameter([source]) == [
             "1:from .principles import BASIS_UTILITY",
             "5:    return spec.threshold if basis == BASIS_UTILITY else None",
+        ]
+
+    def test_a_spec_basis_read_in_allocation(self):
+        source = module("allocation.py", """
+            from .principles import BASIS_INPUT
+
+
+            def once(spec):
+                basis = spec.resolved_basis()
+                return basis in (BASIS_INPUT, BASIS_OUTPUT)
+            """)
+        assert allocation_reads_no_principle_parameter([source]) == [
+            "1:from .principles import BASIS_INPUT",
+            "5:    basis = spec.resolved_basis()",
+            "6:    return basis in (BASIS_INPUT, BASIS_OUTPUT)",
         ]
 
     def test_how_a_spec_reads_two_shares_applied_in_allocation(self):
