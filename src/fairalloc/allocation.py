@@ -251,11 +251,14 @@ def optimize_frontier(
     alone. The breakpoints are scored once each in ascending t, and the
     first of them with the best score is returned, so ties go to the
     smaller t and a plateau reports its left end. An input-based principle
-    has one score on the whole frontier: 0 and total tie, so it proposes
-    t = 0. The returned value is the best point's score. ``resolution`` has
-    no effect.
+    has one score on the whole frontier, so it is scored at t = 0 alone and
+    proposes that point. The returned value is the best point's score.
+    ``resolution`` has no effect.
     """
     total = problem.total
+    if input_based(spec):
+        shares = ValueVector((0.0, total))
+        return shares, score(spec, _share_context(problem, shares)).value
     turns = frontier_breakpoints(spec, total, problem.retention_factors(), problem.inputs.values)
     points = sorted(t for t in {0.0, total, *turns} if 0.0 <= t <= total)
     shares = [ValueVector((t, total - t)) for t in points]

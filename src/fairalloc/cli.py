@@ -203,22 +203,26 @@ def cmd_evaluate(args) -> None:
 
 
 def _heatmap_csv(cells: Heatmap) -> str:
-    # Read from the map's axis and score column: each axis value is formatted
-    # once, each row's flags come from its one run of frontier columns, and
-    # no cell object is built.
+    # Each row is one %-template, read from the map's axis and score column
+    # with no cell object built. Each column's text is built once per flag,
+    # with a %.12g slot, or an empty field for an undefined score: '%.12g' % s
+    # gives the bytes of f"{s:.12g}", and a .12g axis value holds no '%'.
     axis = [f"{y:.12g}" for y in cells.axis]
     n, scores = len(axis), cells.scores
-    out = io.StringIO()
-    out.write("y_a,y_b,score,on_frontier\n")
+    off, on = ([f",{y_b},%.12g,{flag}\n" for y_b in axis] for flag in "01")
+    blank_off, blank_on = ([f",{y_b},,{flag}\n" for y_b in axis] for flag in "01")
+    rows = ["y_a,y_b,score,on_frontier\n"]
     for row, y_a in enumerate(axis):
         row_scores = scores[row * n:(row + 1) * n]
         run = cells.frontier_columns(row)
-        flags = ["0"] * run.start + ["1"] * len(run) + ["0"] * (n - run.stop)
-        out.write("".join([
-            f"{y_a},{y_b},{'' if s is None else f'{s:.12g}'},{flag}\n"
-            for y_b, s, flag in zip(axis, row_scores, flags)
-        ]))
-    return out.getvalue()
+        columns = off[:run.start] + on[run.start:run.stop] + off[run.stop:]
+        if None in row_scores:
+            for col, s in enumerate(row_scores):
+                if s is None:
+                    columns[col] = (blank_on if col in run else blank_off)[col]
+            row_scores = tuple(s for s in row_scores if s is not None)
+        rows.append((y_a + y_a.join(columns)) % row_scores)
+    return "".join(rows)
 
 
 def cmd_heatmap(args) -> None:

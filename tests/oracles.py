@@ -155,6 +155,22 @@ def evaluate_csv_by_row(table) -> str:
     return buffer.getvalue()
 
 
+def heatmap_csv_by_row(cells) -> str:
+    """``heatmap`` CSV text, one ``csv.writer`` row per cell, flagged by ``frontier_columns``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["y_a", "y_b", "score", "on_frontier"])
+    n = len(cells.axis)
+    for row, y_a in enumerate(cells.axis):
+        for col, y_b in enumerate(cells.axis):
+            s = cells.scores[row * n + col]
+            writer.writerow([
+                f"{y_a:.12g}", f"{y_b:.12g}", "" if s is None else f"{s:.12g}",
+                1 if col in cells.frontier_columns(row) else 0,
+            ])
+    return buffer.getvalue()
+
+
 def gini_pairwise(values) -> float:
     """O(n^2) double sum: sum |x_i - x_j| over 2 n sum(x)."""
     xs = list(values)

@@ -573,10 +573,12 @@ class TestOptimizeFrontier:
                 optimize_frontier(problem, spec)
             except DomainError:
                 continue
-            # 0, 7 and the row's own breakpoints, each scored once in ascending t
+            # 0, 7 and the row's own breakpoints, each scored once in ascending
+            # t; an input-based spec, which scores the frontier alike, at 0 alone
             declared = principles.frontier_breakpoints(spec, 7.0, (0.95, 0.85), (8.0, 12.0))
+            expected = [0.0] if principles.input_based(spec) else sorted({0.0, 7.0, *declared})
             ts = [t for _, t in calls]
-            assert ts == sorted({0.0, 7.0, *declared}) and len(ts) <= 4, spec
+            assert ts == expected and len(ts) <= 4, spec
         equal_utilities, peak = 7 * 0.85 / (0.95 + 0.85), 3.5004028253210286
         for spec, expected in [
             # equal outputs, or equal utilities 0.95 t = 0.85 (7 - t)
@@ -595,7 +597,8 @@ class TestOptimizeFrontier:
             (PrincipleSpec("difference", variant="harsanyian", basis="utility"), [0.0, 7.0]),
             (PrincipleSpec("greater_good"), [0.0, 7.0]),
             (PrincipleSpec("proportion", mode=DIORTHOTIC, variant="noop"), [0.0, 7.0]),
-            (PrincipleSpec("equality_of_opportunity", metric=STD), [0.0, 7.0]),
+            # one score on the whole frontier: t = 0 alone
+            (PrincipleSpec("equality_of_opportunity", metric=STD), [0.0]),
         ]:
             calls.clear()
             optimize_frontier(problem, spec)

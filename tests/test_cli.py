@@ -14,8 +14,8 @@ from hypothesis import given, strategies as st
 import fairalloc
 import oracles
 from fairalloc import MAXIMIZE, MINIMIZE
-from fairalloc.allocation import RankingTable, aggregate_ranks
-from fairalloc.cli import _evaluate_csv, main
+from fairalloc.allocation import Heatmap, RankingTable, aggregate_ranks
+from fairalloc.cli import _evaluate_csv, _heatmap_csv, main
 from fairalloc.presets import get_preset
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -24,6 +24,12 @@ AWKWARD_LABELS = st.sampled_from(
     ["", " lead", "trail ", "a,b", 'say "hi"', '"', ",", "cr\rhere", "lf\nhere", "\r\n", "t=3.5",
      "%", "%s", "%%d", "100%"]
 ) | st.text(max_size=8)
+# Heatmap scores a template must not reshape: undefined, signed zeros,
+# subnormals, the float extremes and negative values.
+HEATMAP_SCORES = st.none() | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+     -1.7976931348623157e308, -1.0]
+) | st.floats(allow_nan=False, allow_infinity=False)
 
 
 def run(capsys, *argv):
@@ -383,6 +389,19 @@ class TestGoldenOutput:
             combined=tuple(range(1, k + 1)),
         )
         assert _evaluate_csv(table) == oracles.evaluate_csv_by_row(table)
+
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=12),
+        st.data(),
+    )
+    def test_heatmap_csv_writes_what_a_row_writer_does(self, axis, data):
+        n = len(axis)
+        scores = data.draw(st.lists(HEATMAP_SCORES, min_size=n * n, max_size=n * n))
+        blank_rows = data.draw(st.sets(st.integers(0, n - 1)) | st.just(set(range(n))))
+        for row in blank_rows:
+            scores[row * n:(row + 1) * n] = [None] * n
+        cells = Heatmap(sorted(axis), scores)
+        assert _heatmap_csv(cells) == oracles.heatmap_csv_by_row(cells)
 
     # SHA-256 of heatmap stdout, taken before the heatmap scored one column
     # per principle; each config file is written under tmp_path.
