@@ -17,7 +17,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import field
 from types import MappingProxyType
 
-from .core import Agent, AllocationContext, ValueVector, immutable
+from .core import Agent, AllocationContext, ValueVector, decimal_numerators, immutable
 from .errors import DomainError, NonFiniteScoreError, ScoringError
 from .principles import (
     MAXIMIZE,
@@ -33,6 +33,8 @@ from .principles import (
 ENUMERATION_CAP = 1_000_000
 
 _FRONTIER_TOLERANCE = 1e-9
+# The least real that rounds to inf: halfway from the largest float to 2**1024.
+_ROUNDS_TO_INF = 2**1024 - 2**970
 
 
 def _checked_agents(agents: Sequence[Agent]) -> tuple[Agent, ...]:
@@ -386,9 +388,12 @@ def aggregate_ranks(
 ) -> tuple[list[float], list[int]]:
     """Weighted Borda combination of per-principle rankings.
 
-    Each candidate earns ``weight * (k - rank)`` points per principle; the
+    Each candidate earns ``weight * (k - rank)`` points per principle, summed
+    exactly: a weight is the decimal its repr spells (``decimal_numerators``),
+    so 0.7 * 5 + 0.7 * 5 ties with 0.7 * 3 + 0.7 * 7, as floats do not. The
     combined order is by points descending with ties broken by candidate
-    label. Returns (borda points, combined rank per candidate).
+    label. Returns (borda points, each rounded
+    once to a float, and the combined rank per candidate).
     """
     if any(w < 0 or not math.isfinite(w) for w in weights):
         raise ValueError("aggregation weights must be finite and >= 0")
@@ -396,17 +401,22 @@ def aggregate_ranks(
         raise ValueError("at least one aggregation weight must be positive")
     if len(per_principle_ranks) != len(weights):
         raise ValueError("one weight per principle required")
+    numerators, scale = decimal_numerators(weights)
     k = len(labels)
-    borda = [0.0] * k
-    for ranks, weight in zip(per_principle_ranks, weights):
+    points = [0] * k  # in units of 1 / scale
+    for ranks, weight in zip(per_principle_ranks, numerators):
         if len(ranks) != k:
             raise ValueError("one rank per candidate required")
         for c, r in enumerate(ranks):
-            borda[c] += weight * (k - r)
-    order = sorted(range(k), key=lambda c: (-borda[c], labels[c]))
+            points[c] += weight * (k - r)
+    order = sorted(range(k), key=lambda c: (-points[c], labels[c]))
     combined = [0] * k
     for pos, c in enumerate(order):
         combined[c] = pos + 1
+    try:
+        borda = [p / scale for p in points]
+    except OverflowError:  # points that round past the float range read inf
+        borda = [p / scale if p < scale * _ROUNDS_TO_INF else math.inf for p in points]
     return borda, combined
 
 
@@ -429,9 +439,11 @@ class RankingTable:
 
 
 def _labelled(what: str, values: Sequence, labels: Sequence[str]) -> None:
-    """Refuse labels that do not match ``values`` one to one."""
+    """Refuse labels that do not match ``values`` one to one, or that repeat."""
     if len(labels) != len(values):
-        raise ValueError(f"{len(values)} {what} need {len(values)} labels, got {len(labels)}")
+        raise ValueError(f"{len(values)} {what}s need {len(values)} labels, got {len(labels)}")
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"{what} labels must be unique")
 
 
 def build_ranking(
@@ -444,15 +456,13 @@ def build_ranking(
     """Score every candidate under every principle and rank them.
 
     ``candidates`` labels ``contexts`` one to one, and ``principle_labels``
-    labels ``specs`` (``_labelled``); the candidate labels must be unique.
+    labels ``specs``; neither may repeat a label (``_labelled``).
     An input-based principle (equality of opportunity) reads ``ctx.inputs``
     alone, so it is scored again only where a context's inputs are not the
     previous context's object; the contexts of one problem share theirs.
     """
-    _labelled("candidates", contexts, candidates)
-    _labelled("principles", specs, principle_labels)
-    if len(set(candidates)) != len(candidates):
-        raise ValueError("candidate labels must be unique")
+    _labelled("candidate", contexts, candidates)
+    _labelled("principle", specs, principle_labels)
     scores: list[tuple[float, ...]] = []
     directions: list[str] = []
     ranks: list[tuple[int, ...]] = []
@@ -515,10 +525,10 @@ def continuous_ranking(
     candidate set, which is then scored under every principle. Each
     candidate is labelled ``t=`` and its split in the fewest significant
     digits, 9 to 17, that tell every candidate of the ranking apart. Labels
-    that do not match the specs one to one are refused before any split is
-    optimized.
+    that do not match the specs one to one, or that repeat, are refused
+    before any split is optimized. ``resolution`` has no effect.
     """
-    _labelled("principles", specs, principle_labels)
+    _labelled("principle", specs, principle_labels)
     optima: list[float] = []
     for label, spec in zip(principle_labels, specs):
         try:

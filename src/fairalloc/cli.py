@@ -32,14 +32,6 @@ EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.6g}"
-
-
-def _fmt_vector(v) -> str:
-    return "[" + ", ".join(_fmt(x) for x in v) + "]"
-
-
 def _source_parser(sub, name: str, help_text: str, func) -> argparse.ArgumentParser:
     # The problem source and --out, shared by evaluate and heatmap.
     p = sub.add_parser(name, help=help_text)
@@ -126,9 +118,8 @@ def cmd_metrics(args) -> None:
         raise ConfigError(str(err)) from None
     except DomainError as err:  # a literal value list is input, not a candidate
         raise ConfigError(f"{err.name}: {err}") from None
-    width = max(len(name) for name, _ in rows)
-    for name, value in rows:
-        print(f"{name:<{width}}  {_fmt(value)}")
+    template = f"%-{max(len(name) for name, _ in rows)}s  %.6g\n"
+    sys.stdout.writelines(map(template.__mod__, rows))
 
 
 def _evaluate_csv(table: RankingTable) -> str:
@@ -164,29 +155,32 @@ def _evaluate_csv(table: RankingTable) -> str:
 
 
 def _print_table(table: RankingTable) -> None:
-    width = max(len(c) for c in table.candidates)
-    print("Candidates:")
-    for c, candidate in enumerate(table.candidates):
-        ctx = table.contexts[c]
-        print(
-            f"  {candidate:<{width}}  y={_fmt_vector(ctx.outputs)} "
-            f"u={_fmt_vector(ctx.utilities)}"
-        )
-    print()
+    # Each block writes its rows as they are formatted, one %-template per
+    # row: '%.6g' % x gives the bytes of f"{x:.6g}", and a label is an
+    # argument, never template text.
+    out = sys.stdout
+    label = f"%-{max(len(c) for c in table.candidates)}s"
+    # one template per agent count, which is one count unless contexts of
+    # different populations are ranked together
+    slots = {n: ", ".join(["%.6g"] * n) for n in {len(ctx.outputs) for ctx in table.contexts}}
+    candidate_rows = {n: f"  {label}  y=[{s}] u=[{s}]\n" for n, s in slots.items()}
+    out.write("Candidates:\n")
+    out.writelines(
+        candidate_rows[len(ctx.outputs)] % (candidate, *ctx.outputs.values, *ctx.utilities.values)
+        for candidate, ctx in zip(table.candidates, table.contexts)
+    )
+    principle_row = f"  {label}  score=%.6g rank=%d\n"
     for p, principle in enumerate(table.principles):
-        print(f"Principle {principle} ({table.directions[p]}):")
-        for c, candidate in enumerate(table.candidates):
-            print(
-                f"  {candidate:<{width}}  score={_fmt(table.scores[p][c])} "
-                f"rank={table.ranks[p][c]}"
-            )
-        print()
-    print("Combined ranking (weighted Borda):")
-    for c in table.combined_order():
-        print(
-            f"  {table.combined[c]}. {table.candidates[c]:<{width}} "
-            f"points={_fmt(table.borda[c])}"
+        out.write(f"\nPrinciple {principle} ({table.directions[p]}):\n")
+        out.writelines(
+            map(principle_row.__mod__, zip(table.candidates, table.scores[p], table.ranks[p]))
         )
+    combined_row = f"  %d. {label} points=%.6g\n"
+    out.write("\nCombined ranking (weighted Borda):\n")
+    out.writelines(
+        combined_row % (table.combined[c], table.candidates[c], table.borda[c])
+        for c in table.combined_order()
+    )
 
 
 def cmd_evaluate(args) -> None:

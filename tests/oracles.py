@@ -7,6 +7,7 @@ meaningful.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -152,6 +153,53 @@ def evaluate_csv_by_row(table) -> str:
                 candidate, principle, f"{table.scores[p][c]:.12g}", table.directions[p],
                 table.ranks[p][c],
             ])
+    return buffer.getvalue()
+
+
+def print_table_by_line(table) -> str:
+    """``evaluate``'s stdout table, one ``print`` and f-string per line, as text."""
+
+    def _fmt(value: float) -> str:
+        return f"{value:.6g}"
+
+    def _fmt_vector(v) -> str:
+        return "[" + ", ".join(_fmt(x) for x in v) + "]"
+
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        width = max(len(c) for c in table.candidates)
+        print("Candidates:")
+        for c, candidate in enumerate(table.candidates):
+            ctx = table.contexts[c]
+            print(
+                f"  {candidate:<{width}}  y={_fmt_vector(ctx.outputs)} "
+                f"u={_fmt_vector(ctx.utilities)}"
+            )
+        print()
+        for p, principle in enumerate(table.principles):
+            print(f"Principle {principle} ({table.directions[p]}):")
+            for c, candidate in enumerate(table.candidates):
+                print(
+                    f"  {candidate:<{width}}  score={_fmt(table.scores[p][c])} "
+                    f"rank={table.ranks[p][c]}"
+                )
+            print()
+        print("Combined ranking (weighted Borda):")
+        for c in table.combined_order():
+            print(
+                f"  {table.combined[c]}. {table.candidates[c]:<{width}} "
+                f"points={_fmt(table.borda[c])}"
+            )
+    return buffer.getvalue()
+
+
+def metrics_rows_by_line(rows) -> str:
+    """``metrics`` stdout for (name, value) rows, one ``print`` and f-string per row."""
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        width = max(len(name) for name, _ in rows)
+        for name, value in rows:
+            print(f"{name:<{width}}  {value:.6g}")
     return buffer.getvalue()
 
 

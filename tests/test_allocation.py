@@ -1045,6 +1045,27 @@ class TestRanking:
             build_ranking(labels, contexts, *rest)
         assert str(err.value) == "candidate labels must be unique"
 
+    def test_principle_labels_must_be_unique(self):
+        cfg = load_preset("cake")
+        contexts = [evaluate_discrete(cfg.problem, a) for a in enumerate_discrete(cfg.problem)]
+        labels = [f"s{i}" for i in range(8)]
+        with pytest.raises(ValueError) as err:
+            build_ranking(labels, contexts, ["a", "a"], cfg.specs[:2], [1.0, 1.0])
+        assert str(err.value) == "principle labels must be unique"
+
+    def test_continuous_principle_labels_must_be_unique(self, monkeypatch):
+        optimized = []
+        monkeypatch.setattr(
+            "fairalloc.allocation.optimize_frontier",
+            lambda problem, spec, resolution=None: optimized.append(spec),
+        )
+        cfg = load_preset("fishermen")
+        labels = ("a",) * len(cfg.specs)
+        with pytest.raises(ValueError) as err:
+            continuous_ranking(cfg.problem, labels, cfg.specs, cfg.weights)
+        assert str(err.value) == "principle labels must be unique"
+        assert optimized == []  # refused before any split is optimized
+
     def test_labels_match_principles_one_to_one(self, monkeypatch):
         optimized = []
         monkeypatch.setattr(
@@ -1131,6 +1152,55 @@ class TestAggregation:
             aggregate_ranks([[1, 2]], [1.0, 1.0], ["a", "b"])
         with pytest.raises(ValueError, match="^one rank per candidate required$"):
             aggregate_ranks([[1, 2]], [1.0], ["a", "b", "c"])
+
+    def test_points_equal_in_decimal_tie(self):
+        # 0.7 * 5 + 0.7 * 5 and 0.7 * 3 + 0.7 * 7 are both 7, but their float sums are not
+        rest = [8] * 6
+        borda, combined = aggregate_ranks(
+            [[3, 5, *rest], [3, 1, *rest]], [0.7, 0.7], ["b", "a", *"cdefgh"]
+        )
+        assert borda[:2] == [7.0, 7.0]
+        assert combined[:2] == [2, 1]  # the tie goes to label a
+
+    def test_points_past_the_float_range_read_inf_and_still_order(self):
+        borda, combined = aggregate_ranks([[1, 2, 3], [1, 2, 3]], [1e308, 1e308], ["c", "b", "a"])
+        assert borda == [math.inf, math.inf, 0.0]
+        assert combined == [1, 2, 3]  # 4e308 points beat 2e308, whatever the labels
+
+    def test_integer_weights_keep_float_points(self):
+        borda, _ = aggregate_ranks([[1, 2, 3], [2, 1, 3]], [2, 1.0], ["a", "b", "c"])
+        assert borda == [5.0, 4.0, 0.0]
+        assert all(type(b) is float for b in borda)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_combined_order_is_the_exact_decimal_order(self, data):
+        k = data.draw(st.integers(1, 8))
+        n_principles = data.draw(st.integers(1, 6))
+        ranks = [data.draw(st.lists(st.integers(1, k), min_size=k, max_size=k))
+                 for _ in range(n_principles)]
+        decimal = st.integers(0, 50).map(lambda n: n / 10) | st.integers(0, 500).map(lambda n: n / 100)
+        weights = data.draw(
+            st.lists(decimal, min_size=n_principles, max_size=n_principles).filter(any)
+        )
+        labels = data.draw(st.lists(st.text(max_size=3), min_size=k, max_size=k, unique=True))
+        exact = [sum(Fraction(repr(w)) * (k - row[c]) for w, row in zip(weights, ranks))
+                 for c in range(k)]
+        order = sorted(range(k), key=lambda c: (-exact[c], labels[c]))
+        borda, combined = aggregate_ranks(ranks, weights, labels)
+        assert [combined[c] for c in order] == list(range(1, k + 1))
+        assert borda == [float(points) for points in exact]  # each rounded once
+
+    def test_cake_at_weight_seven_tenths_ranks_scenario_3_first(self):
+        cfg = load_preset("cake")
+        weights = [0.7 if label in ("difference", "proportion") else 0.0
+                   for label in cfg.principle_labels]
+        table = discrete_ranking(
+            cfg.problem, cfg.principle_labels, cfg.specs, weights, labels=cfg.candidate_labels
+        )
+        top = [table.candidates[c] for c in table.combined_order()[:4]]
+        assert top == ["scenario 3", "scenario 4", "scenario 5", "scenario 6"]
+        assert {table.borda[table.candidates.index(c)] for c in top} == {7.0}
 
     @settings(max_examples=200)
     @given(st.data())

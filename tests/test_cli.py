@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -13,9 +15,11 @@ from hypothesis import given, strategies as st
 
 import fairalloc
 import oracles
-from fairalloc import MAXIMIZE, MINIMIZE
+from fairalloc import (
+    MAXIMIZE, MINIMIZE, AllocationContext, DispersionMetric, ValueVector, dispersion,
+)
 from fairalloc.allocation import Heatmap, RankingTable, aggregate_ranks
-from fairalloc.cli import _evaluate_csv, _heatmap_csv, main
+from fairalloc.cli import _evaluate_csv, _heatmap_csv, _print_table, main
 from fairalloc.presets import get_preset
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -29,6 +33,15 @@ AWKWARD_LABELS = st.sampled_from(
 HEATMAP_SCORES = st.none() | st.sampled_from(
     [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
      -1.7976931348623157e308, -1.0]
+) | st.floats(allow_nan=False, allow_infinity=False)
+
+# Labels a %-template or a format string must not read as its own text, and non-ASCII.
+TABLE_LABELS = AWKWARD_LABELS | st.sampled_from(["{}", "{0}", "%-5s", "é", "日本", "\u00a0x"])
+# Numbers at the .6g switch points (an exponent below 1e-04 and from 1e+06 on),
+# the signed zeros, the subnormal and float extremes, and any finite float.
+TABLE_NUMBERS = st.sampled_from(
+    [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1e-05, 9.99999e-05,
+     9.999995e-05, 0.0001, 999999.0, 999999.4, 999999.5, 1e6, 0.1 + 0.2, 7.85046229342e-17]
 ) | st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -95,6 +108,21 @@ class TestMetrics:
             per_metric += [line.split() for line in out.splitlines()]
         assert len(one_call) == 12
         assert one_call == per_metric
+
+    @pytest.mark.parametrize("values, metrics", [
+        ("1,3", "gini,hoover,std_dev,atkinson(inf),theil_t"),
+        ("1e308,5e307", "std_dev,gini,herfindahl"),  # a value past 1e+06 and one below 1
+        ("5e-324,1e-300", "std_dev,hoover"),  # subnormal and tiny values
+        ("0.1,0.2,0.3,999999.5", "std_dev,palma,atkinson(0.5)"),
+        ("5,5", "theil_l"),  # a zero
+    ])
+    def test_rows_are_written_as_a_print_per_row_writes_them(self, capsys, values, metrics):
+        code, out, _ = run(capsys, "metrics", "--values", values, "--metric", metrics)
+        assert code == 0
+        vector = ValueVector(float(x) for x in values.split(","))
+        parsed = [DispersionMetric.parse(name) for name in metrics.split(",")]
+        rows = [(str(metric), dispersion(metric, vector)) for metric in parsed]
+        assert out == oracles.metrics_rows_by_line(rows)
 
     @pytest.mark.parametrize("metric", [",", ""])
     def test_no_metric_exit_2(self, capsys, metric):
@@ -389,6 +417,38 @@ class TestGoldenOutput:
             combined=tuple(range(1, k + 1)),
         )
         assert _evaluate_csv(table) == oracles.evaluate_csv_by_row(table)
+
+    @given(
+        st.lists(TABLE_LABELS, min_size=1, max_size=5, unique=True),
+        st.lists(TABLE_LABELS, min_size=1, max_size=4),
+        st.data(),
+    )
+    def test_print_table_writes_what_a_print_per_line_writes(self, candidates, principles, data):
+        def drawn(elements, size):
+            return tuple(data.draw(st.lists(elements, min_size=size, max_size=size)))
+
+        k = len(candidates)
+        # 1 to 3 agents, in one population or, ranked together, several
+        agents = st.integers(1, 3).map(lambda n: (n,) * k) | st.just(None)
+        counts = data.draw(agents) or drawn(st.integers(1, 3), k)
+        values = TABLE_NUMBERS.filter(lambda x: x >= 0)
+        contexts = tuple(
+            AllocationContext(*(ValueVector(drawn(values, n)) for _ in range(3))) for n in counts
+        )
+        table = RankingTable(
+            candidates=tuple(candidates),
+            contexts=contexts,
+            principles=tuple(principles),
+            directions=drawn(st.sampled_from([MAXIMIZE, MINIMIZE]) | TABLE_LABELS, len(principles)),
+            scores=tuple(drawn(TABLE_NUMBERS, k) for _ in principles),
+            ranks=tuple(drawn(st.integers(1, k), k) for _ in principles),
+            borda=drawn(TABLE_NUMBERS, k),
+            combined=tuple(data.draw(st.permutations(range(1, k + 1)))),
+        )
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            _print_table(table)
+        assert buffer.getvalue() == oracles.print_table_by_line(table)
 
     @given(
         st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=12),

@@ -3,6 +3,7 @@ import copy
 import math
 import pickle
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from fairalloc import (
     ratio_vector,
     threshold_share,
 )
-from fairalloc.core import LONG, kept_order
+from fairalloc.core import LONG, decimal_numerators, kept_order
 
 
 # Values at and just past each edge of the domain [0, max float]
@@ -188,6 +189,25 @@ class TestRatioVector:
     def test_overflowing_ratio_is_non_finite(self):
         with pytest.raises(NonFiniteScoreError):
             ratio_vector(ValueVector([1.0, 7.0]), ValueVector([1.0, 1e-308]))
+
+
+class TestDecimalNumerators:
+    def test_values_read_as_the_decimals_their_reprs_spell(self):
+        assert decimal_numerators([0.7, 1.4, 2]) == ([7, 14, 20], 10)
+        assert decimal_numerators([0.25, 0.1]) == ([5, 2], 20)
+        assert decimal_numerators([]) == ([], 1)
+
+    def test_an_integer_is_its_own_decimal(self):
+        assert decimal_numerators([3.0, 2**53 - 1.0, 10**30]) == ([3, 2**53 - 1, 10**30], 1)
+        # past 2**53 a float's repr can spell another integer than the float holds
+        assert decimal_numerators([1e23]) == ([10**23], 1)
+        assert int(1e23) != 10**23
+
+    @given(st.integers(-10**6, 10**6), st.integers(0, 4))
+    def test_a_decimal_round_trips(self, n, places):
+        x = n / 10**places
+        (numerator,), scale = decimal_numerators([x])
+        assert Fraction(numerator, scale) == Fraction(repr(x))
 
 
 class TestCoreProperties:

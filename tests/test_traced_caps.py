@@ -7,9 +7,13 @@ case is at least as strict as one on the average op, and it reads one whole
 cycle of cases, whatever mix of cases a timed run happens to hold.
 
 The heatmap CSV that ``heatmap_grid`` times is checked here byte for byte,
-since the benchmark's own check counts its lines and empty fields alone.
+since the benchmark's own check counts its lines and empty fields alone, and
+so is the stdout table of each ``discrete_enum`` ranking, which no workload
+times or checks.
 """
 
+import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -21,6 +25,8 @@ import gen  # noqa: E402
 import run  # noqa: E402
 
 run.import_library()
+
+from fairalloc.cli import _print_table  # noqa: E402
 
 import oracles  # noqa: E402  (needs fairalloc on the path)
 import tracing  # noqa: E402
@@ -68,3 +74,19 @@ def test_the_measured_heatmaps_are_written_as_a_row_writer_writes_them():
     transposed = [tuple(cells.scores[col * n + row] for row in range(n) for col in range(n))
                   for cells, _ in maps]
     assert any(cells.scores == t for (cells, _), t in zip(maps, transposed))
+
+
+def test_the_measured_rankings_print_as_a_print_per_line_prints_them():
+    cases = workloads.build("discrete_enum", gen.generate("discrete_enum", 1), 1).cases
+    sizes = []
+    for case in cases:
+        _, table, _ = case.run()
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            _print_table(table)
+        text, expected = buffer.getvalue(), oracles.print_table_by_line(table)
+        differ = [(a, b) for a, b in zip(text.splitlines(), expected.splitlines()) if a != b]
+        assert (text.count("\n"), differ[:3]) == (expected.count("\n"), [])
+        assert text == expected
+        sizes.append(len(table.candidates))
+    assert sizes == [2**14, 3**9]
