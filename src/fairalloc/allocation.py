@@ -244,29 +244,17 @@ def optimize_frontier(
     """Best frontier split for one principle, from its breakpoints.
 
     The frontier of a two-agent problem is one-dimensional: shares are
-    (t, total - t). The breakpoints are 0, total and every split where the
-    spec's own score can turn, which its scoring row declares
-    (``frontier_breakpoints``): a point of equal value on its basis, as is
-    or over the inputs, a threshold crossing or a closed-form peak. No
-    score peaks strictly between neighbouring breakpoints, so nothing is
-    searched, and a score linear on the frontier is scored at the ends
-    alone. The breakpoints are scored once each in ascending t, and the
-    first of them with the best score is returned, so ties go to the
-    smaller t and a plateau reports its left end. An input-based principle
-    has one score on the whole frontier, so it is scored at t = 0 alone and
-    proposes that point. The returned value is the best point's score.
+    (t, total - t). Each of ``frontier_breakpoints``, ascending, is scored
+    once, and the first that ``rank_scores`` ranks 1 is returned with its
+    score, so ties go to the smaller t and a plateau reports its left end.
     ``resolution`` has no effect.
     """
     total = problem.total
-    if input_based(spec):
-        shares = ValueVector((0.0, total))
-        return shares, score(spec, _share_context(problem, shares)).value
-    turns = frontier_breakpoints(spec, total, problem.retention_factors(), problem.inputs.values)
-    points = sorted(t for t in {0.0, total, *turns} if 0.0 <= t <= total)
+    points = frontier_breakpoints(spec, total, problem.retention_factors(), problem.inputs.values)
     shares = [ValueVector((t, total - t)) for t in points]
     values = [score(spec, _share_context(problem, v)).value for v in shares]
-    best_val = (min if principle_direction(spec) == MINIMIZE else max)(values)
-    return shares[values.index(best_val)], best_val
+    best = rank_scores(values, principle_direction(spec)).index(1)
+    return shares[best], values[best]
 
 
 @immutable
@@ -392,8 +380,9 @@ def aggregate_ranks(
     exactly: a weight is the decimal its repr spells (``decimal_numerators``),
     so 0.7 * 5 + 0.7 * 5 ties with 0.7 * 3 + 0.7 * 7, as floats do not. The
     combined order is by points descending with ties broken by candidate
-    label. Returns (borda points, each rounded
-    once to a float, and the combined rank per candidate).
+    label. A rank outside 1..k is refused before any point is summed.
+    Returns (borda points, each rounded once to a float, and the combined
+    rank per candidate).
     """
     if any(w < 0 or not math.isfinite(w) for w in weights):
         raise ValueError("aggregation weights must be finite and >= 0")
@@ -401,12 +390,15 @@ def aggregate_ranks(
         raise ValueError("at least one aggregation weight must be positive")
     if len(per_principle_ranks) != len(weights):
         raise ValueError("one weight per principle required")
-    numerators, scale = decimal_numerators(weights)
     k = len(labels)
-    points = [0] * k  # in units of 1 / scale
-    for ranks, weight in zip(per_principle_ranks, numerators):
+    for ranks in per_principle_ranks:
         if len(ranks) != k:
             raise ValueError("one rank per candidate required")
+        if ranks and not 1 <= min(ranks) <= max(ranks) <= k:
+            raise ValueError(f"ranks must lie in 1..{k}")
+    numerators, scale = decimal_numerators(weights)
+    points = [0] * k  # in units of 1 / scale
+    for ranks, weight in zip(per_principle_ranks, numerators):
         for c, r in enumerate(ranks):
             points[c] += weight * (k - r)
     order = sorted(range(k), key=lambda c: (-points[c], labels[c]))

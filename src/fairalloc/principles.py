@@ -153,14 +153,19 @@ def frontier_scales(
 def frontier_breakpoints(
     spec: PrincipleSpec, total: float, retention: tuple[float, ...], inputs: tuple[float, ...]
 ) -> list[float]:
-    """Every split t of a two-agent frontier (t, total - t) where the score can turn.
+    """Every split t of a two-agent frontier (t, total - t) at which the spec is scored, ascending.
 
-    retention and inputs are the two agents', read as ``frontier_scales``
-    says. With the ends added, the score is monotone between neighbouring
-    breakpoints, so a form that declares none (a linear or constant score)
-    turns only at the ends.
+    They are 0, total and every split where the score can turn that the
+    spec's form declares, kept within [0, total]; retention and inputs are
+    the two agents', read as ``frontier_scales`` says. The score is monotone
+    between neighbouring breakpoints, so a form that declares none (a linear
+    or constant score) is scored at the ends alone. An input-based spec has
+    one score on the whole frontier, so its one breakpoint is t = 0.
     """
-    return spec._form.breakpoints(spec, total, *frontier_scales(spec, retention, inputs))
+    if input_based(spec):
+        return [0.0]
+    turns = spec._form.breakpoints(spec, total, *frontier_scales(spec, retention, inputs))
+    return sorted(t for t in {0.0, total, *turns} if 0.0 <= t <= total)
 
 
 def score(spec: PrincipleSpec, ctx: AllocationContext) -> PrincipleScore:

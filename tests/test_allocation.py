@@ -573,10 +573,8 @@ class TestOptimizeFrontier:
                 optimize_frontier(problem, spec)
             except DomainError:
                 continue
-            # 0, 7 and the row's own breakpoints, each scored once in ascending
-            # t; an input-based spec, which scores the frontier alike, at 0 alone
-            declared = principles.frontier_breakpoints(spec, 7.0, (0.95, 0.85), (8.0, 12.0))
-            expected = [0.0] if principles.input_based(spec) else sorted({0.0, 7.0, *declared})
+            # every breakpoint, each scored once in ascending t
+            expected = principles.frontier_breakpoints(spec, 7.0, (0.95, 0.85), (8.0, 12.0))
             ts = [t for _, t in calls]
             assert ts == expected and len(ts) <= 4, spec
         equal_utilities, peak = 7 * 0.85 / (0.95 + 0.85), 3.5004028253210286
@@ -603,6 +601,28 @@ class TestOptimizeFrontier:
             calls.clear()
             optimize_frontier(problem, spec)
             assert [t for _, t in calls] == expected, spec
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(100, 2000),
+        st.tuples(*[st.integers(30, 100)] * 2),
+        st.tuples(*[st.integers(50, 1500)] * 2),
+        st.integers(1, 2000),
+    )
+    @example(700, (95, 85), (800, 1200), 200)  # fishermen
+    def test_breakpoints_ascend_from_zero_to_total(self, total, retention, inputs, threshold):
+        # random problems in cents: total, retention, inputs and sufficiency threshold
+        total, threshold = total / 100, threshold / 100
+        retention, inputs = tuple(r / 100 for r in retention), tuple(x / 100 for x in inputs)
+        for spec in ACCEPTED_SHAPES:
+            if spec.threshold is not None:
+                spec = dataclasses.replace(spec, threshold=threshold)
+            ts = principles.frontier_breakpoints(spec, total, retention, inputs)
+            if principles.input_based(spec):
+                assert ts == [0.0], spec
+                continue
+            assert ts == sorted(set(ts)) and (ts[0], ts[-1]) == (0.0, total), spec
+            assert all(0.0 <= t <= total for t in ts), spec
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1152,6 +1172,19 @@ class TestAggregation:
             aggregate_ranks([[1, 2]], [1.0, 1.0], ["a", "b"])
         with pytest.raises(ValueError, match="^one rank per candidate required$"):
             aggregate_ranks([[1, 2]], [1.0], ["a", "b", "c"])
+
+    @pytest.mark.parametrize("ranks", [
+        [[1, 2], [0, 1]],  # rank 0
+        [[1, 2], [1, 3]],  # rank k + 1
+        [[3, 5], [3, 1]],  # ranks of some larger table: points -1.4 each, at weight 0.7
+    ])
+    def test_ranks_outside_one_to_k_are_refused(self, ranks):
+        with pytest.raises(ValueError, match=r"^ranks must lie in 1\.\.2$"):
+            aggregate_ranks(ranks, [0.7, 0.7], ["b", "a"])
+
+    def test_competition_ranks_with_ties_are_accepted(self):
+        borda, combined = aggregate_ranks([[1, 1, 3], [2, 2, 2]], [1.0, 1.0], ["c", "b", "a"])
+        assert (borda, combined) == ([3.0, 3.0, 1.0], [2, 1, 3])
 
     def test_points_equal_in_decimal_tie(self):
         # 0.7 * 5 + 0.7 * 5 and 0.7 * 3 + 0.7 * 7 are both 7, but their float sums are not
